@@ -7,7 +7,6 @@ does). A round runs every arm of the workload once, in a fixed order.
 
 from __future__ import annotations
 
-import statistics
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -28,10 +27,11 @@ import bench_yahoo
 
 # Criterion 9's training settings (SIM_TRAIN in tests/test_acceptance.py),
 # except max_epochs: 100 epochs make one CCL arm take about 40 s on a 2-core
-# machine, more than one run of the benchmark may last. 30 epochs keep every
-# layer's per-epoch cost and the arms' order of cost, and the CCL arms' test
-# AUCs are clear of chance by then (at 20, those of seed 4 were at 0.51).
-SIM_EPOCHS = 30
+# machine, more than one run of the benchmark may last. 10 epochs keep every
+# layer's per-epoch cost and the arms' order of cost, and make a round short
+# enough that a 40 s run holds several of them, so the evaluate calls
+# that follow each arm are spread over the whole run.
+SIM_EPOCHS = 10
 SIM_TRAIN = T.TrainConfig(lam=0.0, tau=1.0, batch_size=512, embed_dim=8,
                           hidden_layers=1, learning_rate=1e-3,
                           max_epochs=SIM_EPOCHS, patience=12)
@@ -65,15 +65,14 @@ class OpResult:
     report: T.TrainReport
     metrics: MET.MetricsReport
     train_s: float
-    eval_s: float
+    eval_times: list[float]
     pairs: int
 
 
 class Workload:
     name = ""
-    # evaluate() calls per arm; eval_s takes their median. One sim evaluate
-    # takes about 25 ms, so 25 calls give it about 0.6 s of measurement, on a
-    # machine whose speed swings by half within seconds.
+    # evaluate() calls per operation. One sim evaluate takes 25-45 ms, so an
+    # operation measures it for about 1 s; eval_s averages every call of a run.
     eval_repeats = 25
 
     def __init__(self, seed: int, out_dir: Path, cache_dir: Path):
@@ -104,7 +103,7 @@ class Workload:
             eval_times.append(time.perf_counter() - start)
         k = len(inputs.bundle.train)
         pairs = report.epochs_run * (k - int(round(arm.config.val_fraction * k)))
-        return OpResult(params, report, metrics, train_s, statistics.median(eval_times), pairs)
+        return OpResult(params, report, metrics, train_s, eval_times, pairs)
 
     def check_inputs(self, inputs: Inputs) -> list[str]:
         raise NotImplementedError
@@ -211,7 +210,7 @@ class SimSamplers(SimWorkload):
 
 class YahooMLE(Workload):
     name = "yahoo-mle"
-    eval_repeats = 3  # about 1.8 s each
+    eval_repeats = 2  # about 2 s each; a round takes about 12 s, so a 40 s run holds 2-3
 
     def prepare(self) -> None:
         self.written = bench_yahoo.generate(self.seed)

@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout:
 
-    python3 bench/run.py --workload sim-debias --seed 1 --seconds 20 --trace 0
+    python3 bench/run.py --workload sim-debias --seed 1 --seconds 40 --trace 0
 
 With ``--trace 0`` the last line of standard output is a JSON object with
 the end-to-end metrics; with ``--trace 1`` it holds the per-layer metrics of
@@ -163,16 +163,25 @@ def setups(workload, tracer=None):
 
 
 def end_to_end(arms, rounds, setup_times) -> dict:
-    ok = [[op for op in r if op is not None] for r in rounds]
-    train_s = [sum(op.train_s for op in r) for r in ok if r]
+    """Training and evaluation as averages over the whole run.
+
+    The host's speed drifts over tens of seconds, so a mean over every round
+    of the run is steadier from run to run than a median of a few rounds,
+    or than any one burst of evaluate calls.
+    """
+    ok = [op for r in rounds for op in r if op is not None]
+    train_s = sum(op.train_s for op in ok)
+    eval_s = 0.0
+    for k in range(len(arms)):
+        times = [t for r in rounds if r[k] is not None for t in r[k].eval_times]
+        eval_s += statistics.fmean(times) if times else 0.0
     return {
         "setup_s": (statistics.median(setup_times), "s"),
-        "train_s": (statistics.median(train_s), "s"),
-        "train_pairs_per_s": (statistics.median(
-            sum(op.pairs for op in r) / sum(op.train_s for op in r) for r in ok if r), "pairs/s"),
-        "eval_s": (statistics.median(sum(op.eval_s for op in r) for r in ok if r), "s"),
+        "train_s": (train_s / len(rounds), "s"),
+        "train_pairs_per_s": (sum(op.pairs for op in ok) / train_s, "pairs/s"),
+        "eval_s": (eval_s, "s"),
         "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "MiB"),
-        "auc_min": (min(op.metrics.auc for r in ok for op in r), "auc"),
+        "auc_min": (min(op.metrics.auc for op in ok), "auc"),
     }
 
 
