@@ -110,15 +110,26 @@ def run_experiment(bundle: DatasetBundle, config: T.TrainConfig, seeds: list[int
         rows.append({"arm": "ccl" if cfg.lam > 0 else "base", "seed": seed,
                      **report.as_dict()})
     write_results(out_dir / "results.tsv", rows)
+    # the seed list is a comment so that --config reads the file back
     (out_dir / "config.txt").write_text(
-        replace(config, seed=seeds[0]).to_kv() + f"seeds = {','.join(map(str, seeds))}\n")
+        replace(config, seed=seeds[0]).to_kv() + f"# seeds = {','.join(map(str, seeds))}\n")
     return rows
+
+
+def load_checkpoint_for(path, bundle: DatasetBundle) -> M.ModelParams:
+    """Load a checkpoint and check that it was trained on a bundle of this shape."""
+    params = M.load_checkpoint(path)
+    m, n = params.user_embeddings.shape[0], params.item_embeddings.shape[0]
+    if (m, n) != (bundle.m, bundle.n):
+        raise DataFormatError(f"{path}: checkpoint is for {m} users x {n} items, "
+                              f"the dataset has {bundle.m} x {bundle.n}")
+    return params
 
 
 def export_embeddings(checkpoint_path, bundle: DatasetBundle, user: int, out_path) -> None:
     """Write one user's representation, all item representations and the
     user's concatenated pair representations, tagged unexposed/train/test."""
-    params = M.load_checkpoint(checkpoint_path)
+    params = load_checkpoint_for(checkpoint_path, bundle)
     if user < 0 or user >= bundle.m:
         raise IndexError(f"user {user} out of range [0, {bundle.m})")
     train_items = set(bundle.exposure.user_items(user).tolist())
@@ -249,7 +260,7 @@ def _dispatch(args) -> int:
     bundle = load_bundle(args)
 
     if args.command == "evaluate":
-        params = M.load_checkpoint(args.checkpoint)
+        params = load_checkpoint_for(args.checkpoint, bundle)
         report = MET.evaluate(params, bundle)
         for name, value in report.as_dict().items():
             print(f"{name}\t{_fmt(value)}")

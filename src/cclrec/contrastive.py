@@ -65,14 +65,6 @@ def sample_popularity_difference(popularity: PopularityTable, item: int) -> int:
     return int(np.argmax(diff))
 
 
-def _pairwise_logits(reps: np.ndarray, tau: float, cosine: bool) -> np.ndarray:
-    h = reps
-    if cosine:
-        norms = np.linalg.norm(h, axis=1, keepdims=True)
-        h = h / np.maximum(norms, 1e-12)
-    return (h @ h.T) / tau
-
-
 def ccl_loss(batch: CCLBatch, cosine: bool = False) -> float:
     """Symmetric NT-Xent over the 2N views with dot-product similarity.
 
@@ -155,6 +147,33 @@ def _ccl_loss_impl(batch: CCLBatch, cosine: bool, want_grad: bool):
     return loss, grad_h
 
 
+def make_sampler(kind: str, bundle: DatasetBundle,
+                 propensities: PropensityTable | None = None,
+                 popularity: PopularityTable | None = None):
+    """The positive sampler of one run: ``sample(users, items, rng)`` -> positive items.
+
+    Checks the kind and its table once; each positive is one call of the
+    per-sample function above, looked up by its module-global name.
+    """
+    if kind not in SAMPLER_KINDS:
+        raise ValueError(f"sampler must be one of {SAMPLER_KINDS}, got {kind!r}")
+    if kind == "ps" and propensities is None:
+        raise ValueError("ps sampler needs a propensity table")
+    if kind == "pop" and popularity is None:
+        raise ValueError("pop sampler needs a popularity table")
+    draw = {"cf": lambda u, i, rng: sample_random_counterfactual(bundle, u, i, rng),
+            "ps": lambda u, i, rng: sample_propensity_difference(propensities, u, i),
+            "pop": lambda u, i, rng: sample_popularity_difference(popularity, i)}[kind]
+
+    def sample(users: np.ndarray, items: np.ndarray, rng: np.random.Generator | None = None):
+        if kind == "cf" and rng is None:
+            raise ValueError("cf sampler needs an explicit rng")
+        return np.array([draw(u, i, rng) for u, i in zip(users.tolist(), items.tolist())],
+                        dtype=np.int64)
+
+    return sample
+
+
 def build_views(bundle: DatasetBundle, params: ModelParams,
                 users: np.ndarray, items: np.ndarray,
                 sampler: str, tau: float,
@@ -166,26 +185,9 @@ def build_views(bundle: DatasetBundle, params: ModelParams,
     Both views of a pair share the user-embedding half; only the item half
     differs (anchor item vs. sampled counterfactual item).
     """
-    if sampler not in SAMPLER_KINDS:
-        raise ValueError(f"sampler must be one of {SAMPLER_KINDS}, got {sampler!r}")
     users = np.asarray(users, dtype=np.int64)
     items = np.asarray(items, dtype=np.int64)
-    n_pairs = len(users)
-    pos_items = np.empty(n_pairs, dtype=np.int64)
-    for k in range(n_pairs):
-        u, i = int(users[k]), int(items[k])
-        if sampler == "cf":
-            if rng is None:
-                raise ValueError("cf sampler needs an explicit rng")
-            pos_items[k] = sample_random_counterfactual(bundle, u, i, rng)
-        elif sampler == "ps":
-            if propensities is None:
-                raise ValueError("ps sampler needs a propensity table")
-            pos_items[k] = sample_propensity_difference(propensities, u, i)
-        else:
-            if popularity is None:
-                raise ValueError("pop sampler needs a popularity table")
-            pos_items[k] = sample_popularity_difference(popularity, i)
+    pos_items = make_sampler(sampler, bundle, propensities, popularity)(users, items, rng)
     reps = assemble_views(params, users, items, pos_items)
     return CCLBatch(reps, tau, users=users, anchor_items=items, positive_items=pos_items)
 

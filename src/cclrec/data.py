@@ -62,9 +62,6 @@ class InteractionTable:
         labels = (ratings >= threshold).astype(np.int64)
         return InteractionTable(users, items, ratings, labels)
 
-    def pairs(self) -> set[tuple[int, int]]:
-        return set(zip(self.users.tolist(), self.items.tolist()))
-
     def subset(self, idx: np.ndarray) -> "InteractionTable":
         return InteractionTable(
             self.users[idx].copy(), self.items[idx].copy(),
@@ -130,7 +127,6 @@ class DatasetBundle:
     train: InteractionTable
     test: InteractionTable
     exposure: ExposureMatrix = field(repr=False)
-    validation: Optional[InteractionTable] = None
     user_features: Optional[FeatureTable] = None
     item_features: Optional[FeatureTable] = None
     _unexposed_cache: dict = field(default_factory=dict, repr=False, compare=False)
@@ -280,13 +276,12 @@ def unexposed_items(bundle: DatasetBundle, user: int) -> np.ndarray:
     return cached
 
 
-def holdout_split(table: InteractionTable, fraction: float, seed: int,
-                  stratify_by_user: bool = True):
-    """Deterministic (train_part, validation_part) split.
+def holdout_split(table: InteractionTable, fraction: float, seed: int):
+    """Deterministic per-user stratified (train_part, validation_part) split.
 
-    |validation| = round(fraction * |table|). With stratification each user
-    contributes floor(fraction * count) rows, topped up globally to the
-    exact total.
+    |validation| = round(fraction * |table|). Each user contributes the
+    floor(fraction * count) rows with the lowest random keys, topped up
+    globally by the lowest remaining keys to the exact total.
     """
     if not (0 <= fraction < 1):
         raise ValueError(f"fraction must be in [0, 1), got {fraction}")
@@ -297,21 +292,20 @@ def holdout_split(table: InteractionTable, fraction: float, seed: int,
     rng = np.random.default_rng(seed)
     keys = rng.random(k)
     val_mask = np.zeros(k, dtype=bool)
-    if stratify_by_user:
-        taken = 0
-        for u in np.unique(table.users):
-            idx = np.nonzero(table.users == u)[0]
-            quota = int(np.floor(fraction * len(idx)))
-            if quota > 0:
-                chosen = idx[np.argsort(keys[idx], kind="stable")[:quota]]
-                val_mask[chosen] = True
-                taken += quota
-        remaining = n_val - taken
-        if remaining > 0:
-            pool = np.nonzero(~val_mask)[0]
-            top_up = pool[np.argsort(keys[pool], kind="stable")[:remaining]]
-            val_mask[top_up] = True
-    else:
-        order = np.argsort(keys, kind="stable")
-        val_mask[order[:n_val]] = True
+    val_mask[_lowest_keys_per_user(table.users, keys, fraction)] = True
+    remaining = n_val - int(val_mask.sum())
+    if remaining > 0:
+        pool = np.nonzero(~val_mask)[0]
+        top_up = pool[np.argsort(keys[pool], kind="stable")[:remaining]]
+        val_mask[top_up] = True
     return table.subset(np.nonzero(~val_mask)[0]), table.subset(np.nonzero(val_mask)[0])
+
+
+def _lowest_keys_per_user(users: np.ndarray, keys: np.ndarray, fraction: float) -> np.ndarray:
+    """Rows holding each user's floor(fraction * count) lowest keys (row order on ties)."""
+    order = np.lexsort((keys, users))  # grouped by user, ascending key within a group
+    grouped = users[order]
+    starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
+    counts = np.diff(starts, append=len(users))
+    ends = starts + np.floor(fraction * counts).astype(np.int64)
+    return order[np.arange(len(users)) < np.repeat(ends, counts)]

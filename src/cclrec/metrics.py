@@ -117,6 +117,19 @@ def rank_user(user: int, items: np.ndarray, scores: np.ndarray,
     return RankedList(user, items[order], relevance[order])
 
 
+def rank_users(users: np.ndarray, items: np.ndarray, scores: np.ndarray,
+               relevance: np.ndarray) -> list[RankedList]:
+    """One rank_user list per distinct user, ascending by user, from one sort."""
+    if len(users) == 0:
+        return []
+    order = np.lexsort((items, -scores, users))
+    grouped = users[order]
+    bounds = np.flatnonzero(grouped[1:] != grouped[:-1]) + 1
+    return [RankedList(int(u[0]), it, rel) for u, it, rel in
+            zip(np.split(grouped, bounds), np.split(items[order], bounds),
+                np.split(relevance[order], bounds))]
+
+
 def evaluate(params: ModelParams, bundle: DatasetBundle, ks=(5, 10),
              gini_k: int = 5) -> MetricsReport:
     """Rank each user's own test items and compute the full metric suite."""
@@ -126,11 +139,7 @@ def evaluate(params: ModelParams, bundle: DatasetBundle, ks=(5, 10),
     batch = forward(params, test.users, test.items)
     scores = batch.y
 
-    ranked_lists = []
-    for u in np.unique(test.users):
-        mask = test.users == u
-        ranked_lists.append(rank_user(int(u), test.items[mask], scores[mask],
-                                      test.labels[mask]))
+    ranked_lists = rank_users(test.users, test.items, scores, test.labels)
 
     exposure_counts = np.zeros(bundle.n, dtype=np.int64)
     for r in ranked_lists:

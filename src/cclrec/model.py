@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
+from cclrec.data import DataFormatError
+
 EPS_LOG = 1e-12
 
 
@@ -58,12 +60,9 @@ def init_params(m: int, n: int, d: int, hidden_layers: int,
 class PredictionBatch:
     users: np.ndarray
     items: np.ndarray
-    h_u: np.ndarray  # B x d
-    h_i: np.ndarray  # B x d
-    h_ui: np.ndarray  # B x 2d
     y: np.ndarray  # B, in (0,1)
     pre_activations: list[np.ndarray] = field(repr=False, default_factory=list)
-    activations: list[np.ndarray] = field(repr=False, default_factory=list)
+    activations: list[np.ndarray] = field(repr=False, default_factory=list)  # [0]: B x 2d input
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -84,9 +83,7 @@ def forward(params: ModelParams, users: np.ndarray, items: np.ndarray) -> Predic
         raise IndexError("user id out of range")
     if len(items) and (items.min() < 0 or items.max() >= n):
         raise IndexError("item id out of range")
-    h_u = params.user_embeddings[users]
-    h_i = params.item_embeddings[items]
-    x = np.hstack([h_u, h_i])
+    x = np.hstack([params.user_embeddings[users], params.item_embeddings[items]])
     pre, act = [], [x]
     for li, (W, b) in enumerate(params.layers):
         z = act[-1] @ W + b
@@ -94,14 +91,7 @@ def forward(params: ModelParams, users: np.ndarray, items: np.ndarray) -> Predic
         if li < len(params.layers) - 1:
             act.append(np.maximum(z, 0.0))
     y = _sigmoid(pre[-1][:, 0])
-    return PredictionBatch(users, items, h_u, h_i, x, y, pre, act)
-
-
-def log_loss(y: np.ndarray, labels: np.ndarray) -> float:
-    y = np.asarray(y, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    per = -(labels * np.log(y + EPS_LOG) + (1 - labels) * np.log(1 - y + EPS_LOG))
-    return float(per.mean())
+    return PredictionBatch(users, items, y, pre, act)
 
 
 def log_loss_per_sample(y: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -117,41 +107,54 @@ def focal_loss_per_sample(y: np.ndarray, labels: np.ndarray, gamma: float) -> np
              + (1 - labels) * y ** gamma * np.log(1 - y + EPS_LOG))
 
 
-def focal_loss(y: np.ndarray, labels: np.ndarray, gamma: float) -> float:
+def per_sample_loss(y: np.ndarray, labels: np.ndarray, loss_kind: str = "log",
+                    gamma: float = 0.0) -> np.ndarray:
+    """Rating loss delta_k of each sample: log-loss, or focal loss with focus gamma."""
+    if loss_kind == "log":
+        return log_loss_per_sample(y, labels)
+    if loss_kind != "focal":
+        raise ValueError(f"unknown loss kind {loss_kind!r}")
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
-    return float(focal_loss_per_sample(y, labels, gamma).mean())
+    return focal_loss_per_sample(y, labels, gamma)
 
 
-def ips_loss(per_sample_losses: np.ndarray, propensities: np.ndarray) -> float:
-    """Mean of delta_k / P_k over observed samples."""
-    p = np.asarray(propensities, dtype=np.float64)
-    if (p <= 0).any():
-        raise ValueError("propensities must be positive")
-    return float((np.asarray(per_sample_losses) / p).mean())
+def log_loss(y: np.ndarray, labels: np.ndarray) -> float:
+    return float(log_loss_per_sample(y, labels).mean())
 
 
-def snips_loss(per_sample_losses: np.ndarray, propensities: np.ndarray) -> float:
-    """Self-normalized IPS: (sum delta/P) / (sum 1/P); invariant under P -> cP."""
+def focal_loss(y: np.ndarray, labels: np.ndarray, gamma: float) -> float:
+    return float(per_sample_loss(y, labels, "focal", gamma).mean())
+
+
+def rec_weights(objective: str, propensities: np.ndarray | None, batch_size: int) -> np.ndarray:
+    """Per-sample weights w_k so the rec objective is sum_k w_k * delta_k.
+
+    plain: 1/B; ips: 1/(B P_k); snips: (1/P_k) / sum_j (1/P_j).
+    """
+    if objective == "plain":
+        return np.full(batch_size, 1.0 / batch_size)
+    if objective not in ("ips", "snips"):
+        raise ValueError(f"unknown rec objective {objective!r}")
+    if propensities is None:
+        raise ValueError(f"{objective} objective needs propensities")
     p = np.asarray(propensities, dtype=np.float64)
     if (p <= 0).any():
         raise ValueError("propensities must be positive")
     inv = 1.0 / p
-    return float((np.asarray(per_sample_losses) * inv).sum() / inv.sum())
+    return inv / batch_size if objective == "ips" else inv / inv.sum()
 
 
-def rec_weights(loss_kind: str, propensities: np.ndarray | None, batch_size: int) -> np.ndarray:
-    """Per-sample weights w_k so the rec objective is sum_k w_k * delta_k."""
-    if loss_kind in ("plain", "log", "focal"):
-        return np.full(batch_size, 1.0 / batch_size)
-    if propensities is None:
-        raise ValueError(f"{loss_kind} objective needs propensities")
-    inv = 1.0 / np.asarray(propensities, dtype=np.float64)
-    if loss_kind == "ips":
-        return inv / batch_size
-    if loss_kind == "snips":
-        return inv / inv.sum()
-    raise ValueError(f"unknown loss kind {loss_kind!r}")
+def ips_loss(per_sample_losses: np.ndarray, propensities: np.ndarray) -> float:
+    """Mean of delta_k / P_k over observed samples."""
+    weights = rec_weights("ips", propensities, len(propensities))
+    return float((weights * np.asarray(per_sample_losses)).sum())
+
+
+def snips_loss(per_sample_losses: np.ndarray, propensities: np.ndarray) -> float:
+    """Self-normalized IPS: (sum delta/P) / (sum 1/P); invariant under P -> cP."""
+    weights = rec_weights("snips", propensities, len(propensities))
+    return float((weights * np.asarray(per_sample_losses)).sum())
 
 
 @dataclass
@@ -172,10 +175,6 @@ class GradientSet:
             out.extend([W, b])
         return out
 
-    def add_scaled(self, other: "GradientSet", scale: float) -> None:
-        for a, b in zip(self.flat_arrays(), other.flat_arrays()):
-            a += scale * b
-
     def assert_finite(self) -> None:
         for a in self.flat_arrays():
             if not np.isfinite(a).all():
@@ -193,7 +192,7 @@ def backward(params: ModelParams, batch: PredictionBatch, labels: np.ndarray,
     labels = np.asarray(labels, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     y = batch.y
-    if loss_kind in ("log", "plain", "ips", "snips"):
+    if loss_kind == "log":
         dz = y - labels  # d(logloss)/dz for the sigmoid output
     elif loss_kind == "focal":
         d_dy = np.where(
@@ -270,25 +269,21 @@ def save_checkpoint(path, params: ModelParams) -> None:
 
 
 def load_checkpoint(path) -> ModelParams:
+    """Inverse of save_checkpoint; a bad header or payload length is a DataFormatError."""
     with open(Path(path), "rb") as f:
-        header = json.loads(f.readline().decode())
-        payload = np.frombuffer(f.read(), dtype=np.float64)
-    m, n, d = header["m"], header["n"], header["d"]
-    widths = header["widths"]
-    pos = 0
-
-    def take(shape):
-        nonlocal pos
-        size = int(np.prod(shape))
-        a = payload[pos:pos + size].reshape(shape).copy()
-        pos += size
-        return a
-
-    user = take((m, d))
-    item = take((n, d))
-    layers = []
-    fan_in = 2 * d
-    for w in widths:
-        layers.append((take((fan_in, w)), take((w,))))
-        fan_in = w
-    return ModelParams(user, item, layers, header["activation"])
+        header_line, raw = f.readline(), f.read()
+    try:
+        header = json.loads(header_line.decode())
+        m, n, d, widths, activation = (header[k] for k in ("m", "n", "d", "widths", "activation"))
+        shapes = [(m, d), (n, d)]
+        for fan_in, w in zip([2 * d] + widths[:-1], widths):
+            shapes += [(fan_in, w), (w,)]
+        sizes = [int(np.prod(shape)) for shape in shapes]
+    except (ValueError, KeyError, TypeError) as e:
+        raise DataFormatError(f"{path}: bad checkpoint header ({e})") from e
+    if len(raw) != 8 * sum(sizes):
+        raise DataFormatError(f"{path}: checkpoint payload is {len(raw)} bytes, "
+                              f"its header needs {8 * sum(sizes)}")
+    chunks = np.split(np.frombuffer(raw, dtype=np.float64), np.cumsum(sizes)[:-1])
+    arrays = [chunk.reshape(shape).copy() for chunk, shape in zip(chunks, shapes)]
+    return ModelParams(arrays[0], arrays[1], list(zip(arrays[2::2], arrays[3::2])), activation)

@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from cclrec.data import DatasetBundle, FeatureTable, InteractionTable
+from cclrec.data import DataFormatError, DatasetBundle, FeatureTable, InteractionTable
 
 DEFAULT_FLOOR = 0.05
 POPULARITY_FLOOR = 1e-3
@@ -204,31 +204,44 @@ def estimate_propensity_lr(bundle: DatasetBundle,
 
 
 def save_table(path, table) -> None:
-    """Flat serialization: one header line, then row-major float64 payload."""
-    path = Path(path)
+    """One header line, then float64 values; a per-class table stores (p0, p1,
+    marginal) and, when the header ends in 1, its m x n int8 label grid."""
     if isinstance(table, PopularityTable):
-        header = f"popularity 1 {len(table.values)} 0\n"
-        payload = table.values
+        header, values, grid = f"popularity 1 {len(table.values)} 0", table.values, None
     elif table.kind == "dense":
-        header = f"dense {table.m} {table.n} {table.floor}\n"
-        payload = table.dense
+        header, values, grid = f"dense {table.m} {table.n} {table.floor}", table.dense, None
     else:
-        header = f"per-class {table.m} {table.n} {table.floor}\n"
-        payload = np.array([*table.class_probs, table.marginal])
-    with open(path, "wb") as f:
-        f.write(header.encode())
-        f.write(np.ascontiguousarray(payload, dtype=np.float64).tobytes())
+        grid = table._label_grid
+        header = f"per-class {table.m} {table.n} {table.floor} {int(grid is not None)}"
+        values = np.array([*table.class_probs, table.marginal])
+    with open(Path(path), "wb") as f:
+        f.write((header + "\n").encode())
+        f.write(np.ascontiguousarray(values, dtype=np.float64).tobytes())
+        if grid is not None:
+            f.write(np.ascontiguousarray(grid).tobytes())
 
 
 def load_table(path):
-    path = Path(path)
-    with open(path, "rb") as f:
-        header = f.readline().decode().split()
+    """Inverse of save_table; a malformed or truncated file is a DataFormatError."""
+    with open(Path(path), "rb") as f:
+        header_line, raw = f.readline(), f.read()
+    try:
+        header = header_line.decode().split()
         kind, m, n, floor = header[0], int(header[1]), int(header[2]), float(header[3])
-        payload = np.frombuffer(f.read(), dtype=np.float64)
+        n_values = {"popularity": n, "dense": m * n, "per-class": 3}[kind]
+    except (IndexError, ValueError, KeyError) as e:
+        raise DataFormatError(f"{path}: bad table header ({e})") from e
+    grid_bytes = m * n if header[4:] == ["1"] else 0
+    if len(raw) != 8 * n_values + grid_bytes:
+        raise DataFormatError(f"{path}: {kind} table payload is {len(raw)} bytes, "
+                              f"its header needs {8 * n_values + grid_bytes}")
+    values = np.frombuffer(raw, dtype=np.float64, count=n_values).copy()
     if kind == "popularity":
-        return PopularityTable(payload.copy())
+        return PopularityTable(values)
     if kind == "dense":
-        return PropensityTable(m, n, floor, dense=payload.reshape(m, n).copy())
-    p0, p1, marginal = payload
-    return PropensityTable(m, n, floor, class_probs=(p0, p1), marginal=marginal)
+        return PropensityTable(m, n, floor, dense=values.reshape(m, n))
+    table = PropensityTable(m, n, floor, class_probs=(values[0], values[1]), marginal=values[2])
+    if grid_bytes:
+        # frombuffer over bytes is read-only, like the grid the estimator builds
+        table._label_grid = np.frombuffer(raw, dtype=np.int8, offset=24).reshape(m, n)
+    return table

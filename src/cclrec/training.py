@@ -1,6 +1,6 @@
 """Training loop: multi-task objective L = L_rec + lambda * L_ccl.
 
-Single-threaded, fully seeded, bit-reproducible. Supports plain log-loss,
+Fully seeded and bit-reproducible. Supports plain log-loss,
 focal, IPS and SNIPS rating objectives, the three contrastive samplers,
 joint multi-task training and a pretrain-then-finetune mode, and early
 stopping on validation total loss.
@@ -47,7 +47,6 @@ class TrainConfig:
     val_fraction: float = 0.1
     mode: str = "joint"  # joint | pretrain
     pretrain_epochs: int = 20
-    log_batches: bool = False
 
     def validate(self) -> None:
         if self.lam < 0:
@@ -102,7 +101,6 @@ class TrainReport:
     epochs_run: int = 0
     wall_clock: float = 0.0
     sampler_calls: int = 0
-    batch_logs: list[tuple[float, float, float]] = field(default_factory=list)
 
 
 def batch_objective(params: M.ModelParams, users: np.ndarray, items: np.ndarray,
@@ -117,10 +115,7 @@ def batch_objective(params: M.ModelParams, users: np.ndarray, items: np.ndarray,
     contrastive term consumes the interleaved concatenated embeddings.
     """
     batch = M.forward(params, users, items)
-    if loss_kind == "focal":
-        per = M.focal_loss_per_sample(batch.y, labels, gamma)
-    else:
-        per = M.log_loss_per_sample(batch.y, labels)
+    per = M.per_sample_loss(batch.y, labels, loss_kind, gamma)
     rec = float((np.asarray(weights) * per).sum())
     grads = M.backward(params, batch, labels, weights, loss_kind=loss_kind, gamma=gamma)
 
@@ -162,16 +157,15 @@ def train(bundle: DatasetBundle, config: TrainConfig,
     if config.lam > 0 and config.sampler == "pop" and popularity is None:
         popularity = estimate_popularity(bundle)
 
+    sampler = (C.make_sampler(config.sampler, bundle, propensity, popularity)
+               if config.lam > 0 else None)
+
     rng = np.random.default_rng(config.seed)
     params = M.init_params(bundle.m, bundle.n, config.embed_dim, config.hidden_layers, rng)
     state = M.AdamState.for_params(params)
     report = TrainReport()
 
-    if bundle.validation is not None:
-        train_part, val_part = bundle.train, bundle.validation
-    else:
-        train_part, val_part = holdout_split(bundle.train, config.val_fraction,
-                                             seed=config.seed + 1)
+    train_part, val_part = holdout_split(bundle.train, config.val_fraction, seed=config.seed + 1)
     if len(train_part) == 0:
         raise ValueError("empty training table")
 
@@ -180,27 +174,18 @@ def train(bundle: DatasetBundle, config: TrainConfig,
         train_prop = propensity.gather(train_part.users, train_part.items, train_part.labels)
 
     val_rng = np.random.default_rng(config.seed + 2)
-    best_val = np.inf
     best_params = params.copy()
-    best_epoch = -1
-    since_best = 0
+    # (epochs, rec scale, contrastive weight, early stopping) per stage;
+    # pretraining runs the contrastive term alone, then fine-tunes on L_rec.
+    if config.mode == "pretrain" and config.lam > 0:
+        stages = [(config.pretrain_epochs, 0.0, config.lam, False),
+                  (config.max_epochs, 1.0, 0.0, True)]
+    else:
+        stages = [(config.max_epochs, 1.0, config.lam, True)]
+    k_train = len(train_part)
 
-    def sample_positives(users, items, counting=True):
-        pos = np.empty(len(users), dtype=np.int64)
-        for k, (u, i) in enumerate(zip(users.tolist(), items.tolist())):
-            if config.sampler == "cf":
-                pos[k] = C.sample_random_counterfactual(bundle, u, i, rng if counting else val_rng)
-            elif config.sampler == "ps":
-                pos[k] = C.sample_propensity_difference(propensity, u, i)
-            else:
-                pos[k] = C.sample_popularity_difference(popularity, i)
-        if counting:
-            report.sampler_calls += len(users)
-        return pos
-
-    def run_epochs(n_epochs, lam_rec_scale, lam_ccl, early_stop):
-        nonlocal best_val, best_params, best_epoch, since_best
-        k_train = len(train_part)
+    for n_epochs, rec_scale, lam, early_stop in stages:
+        best_val, best_epoch, since_best = np.inf, -1, 0
         for _ in range(n_epochs):
             perm = rng.permutation(k_train)
             sums = np.zeros(3)
@@ -211,10 +196,13 @@ def train(bundle: DatasetBundle, config: TrainConfig,
                 items = train_part.items[idx]
                 labels = train_part.labels[idx]
                 props = train_prop[idx] if train_prop is not None else None
-                weights = M.rec_weights(config.rec_objective, props, len(idx)) * lam_rec_scale
-                pos = sample_positives(users, items) if lam_ccl > 0 else None
+                weights = M.rec_weights(config.rec_objective, props, len(idx)) * rec_scale
+                pos = None
+                if lam > 0:
+                    pos = sampler(users, items, rng)
+                    report.sampler_calls += len(idx)
                 total, rec, cclv, grads = batch_objective(
-                    params, users, items, labels, weights, lam_ccl, config.tau,
+                    params, users, items, labels, weights, lam, config.tau,
                     pos_items=pos, loss_kind=config.loss_kind,
                     gamma=config.focal_gamma, cosine=config.cosine)
                 if not np.isfinite(total):
@@ -226,8 +214,6 @@ def train(bundle: DatasetBundle, config: TrainConfig,
                             weight_decay=config.weight_decay)
                 sums += (rec, cclv, total)
                 n_batches += 1
-                if config.log_batches:
-                    report.batch_logs.append((rec, cclv, total))
             report.rec_losses.append(sums[0] / n_batches)
             report.ccl_losses.append(sums[1] / n_batches)
             report.total_losses.append(sums[2] / n_batches)
@@ -238,8 +224,7 @@ def train(bundle: DatasetBundle, config: TrainConfig,
                 best_params = params.copy()
                 best_epoch = report.epochs_run - 1
                 continue
-            val_loss = _validation_loss(params, bundle, config, val_part,
-                                        lam_ccl, val_rng, propensity, popularity)
+            val_loss = _validation_loss(params, config, val_part, lam, sampler, val_rng)
             report.val_losses.append(val_loss)
             if val_loss < best_val:
                 best_val = val_loss
@@ -251,67 +236,46 @@ def train(bundle: DatasetBundle, config: TrainConfig,
                 if early_stop and since_best > config.patience:
                     break
 
-    if config.mode == "pretrain" and config.lam > 0:
-        run_epochs(config.pretrain_epochs, lam_rec_scale=0.0, lam_ccl=config.lam,
-                   early_stop=False)
-        best_val, since_best, best_epoch = np.inf, 0, -1
-        run_epochs(config.max_epochs, lam_rec_scale=1.0, lam_ccl=0.0, early_stop=True)
-    else:
-        run_epochs(config.max_epochs, lam_rec_scale=1.0, lam_ccl=config.lam,
-                   early_stop=True)
-
     report.best_epoch = best_epoch
     report.wall_clock = time.perf_counter() - start
     return best_params, report
 
 
-def _validation_loss(params, bundle, config, val_part: InteractionTable,
-                     lam_ccl, val_rng, propensity, popularity) -> float:
+def _validation_loss(params, config, val_part: InteractionTable, lam_ccl, sampler,
+                     val_rng) -> float:
     batch = M.forward(params, val_part.users, val_part.items)
-    if config.loss_kind == "focal":
-        rec = M.focal_loss(batch.y, val_part.labels, config.focal_gamma)
-    else:
-        rec = M.log_loss(batch.y, val_part.labels)
+    rec = M.per_sample_loss(batch.y, val_part.labels, config.loss_kind,
+                            config.focal_gamma).mean()
     if lam_ccl <= 0:
         return float(rec)
-    pos = np.empty(len(val_part), dtype=np.int64)
-    for k, (u, i) in enumerate(zip(val_part.users.tolist(), val_part.items.tolist())):
-        if config.sampler == "cf":
-            pos[k] = C.sample_random_counterfactual(bundle, u, i, val_rng)
-        elif config.sampler == "ps":
-            pos[k] = C.sample_propensity_difference(propensity, u, i)
-        else:
-            pos[k] = C.sample_popularity_difference(popularity, i)
+    pos = sampler(val_part.users, val_part.items, val_rng)
     reps = C.assemble_views(params, val_part.users, val_part.items, pos)
     cclv = C.ccl_loss(C.CCLBatch(reps, config.tau), cosine=config.cosine)
     return float(rec + lam_ccl * cclv)
 
 
-def run_ablation(bundle: DatasetBundle, config: TrainConfig, seeds: list[int],
-                 ks=(5, 10)) -> list[dict]:
-    """Train {with CCL, without CCL} on shared seeds; one metrics row per arm per seed."""
+def _run_arms(bundle: DatasetBundle, config: TrainConfig, arms, seeds: list[int],
+              ks) -> list[dict]:
+    """Train each (arm, config overrides) on every seed; one metrics row per arm per seed."""
     from cclrec.metrics import evaluate
 
     rows = []
-    for arm, lam in (("with_ccl", config.lam), ("without_ccl", 0.0)):
+    for arm, overrides in arms:
         for seed in seeds:
-            cfg = replace(config, lam=lam, seed=seed)
-            params, _ = train(bundle, cfg)
+            params, _ = train(bundle, replace(config, seed=seed, **overrides))
             rows.append({"arm": arm, "seed": seed, **evaluate(params, bundle, ks=ks).as_dict()})
     return rows
+
+
+def run_ablation(bundle: DatasetBundle, config: TrainConfig, seeds: list[int],
+                 ks=(5, 10)) -> list[dict]:
+    """Train {with CCL, without CCL} on shared seeds; one metrics row per arm per seed."""
+    return _run_arms(bundle, config, [("with_ccl", {}), ("without_ccl", {"lam": 0.0})],
+                     seeds, ks)
 
 
 def run_sampler_sweep(bundle: DatasetBundle, config: TrainConfig, seeds: list[int],
                       ks=(5, 10)) -> list[dict]:
     """Train {cf, ps, pop, no-ssl} arms on shared seeds and evaluate each."""
-    from cclrec.metrics import evaluate
-
-    arms = [("cf", config.lam, "cf"), ("ps", config.lam, "ps"),
-            ("pop", config.lam, "pop"), ("no-ssl", 0.0, config.sampler)]
-    rows = []
-    for arm, lam, sampler in arms:
-        for seed in seeds:
-            cfg = replace(config, lam=lam, sampler=sampler, seed=seed)
-            params, _ = train(bundle, cfg)
-            rows.append({"arm": arm, "seed": seed, **evaluate(params, bundle, ks=ks).as_dict()})
-    return rows
+    arms = [(kind, {"sampler": kind}) for kind in C.SAMPLER_KINDS] + [("no-ssl", {"lam": 0.0})]
+    return _run_arms(bundle, config, arms, seeds, ks)

@@ -83,6 +83,16 @@ class TestTrainCommand:
         assert (outs[0] / "checkpoint_seed0.bin").read_bytes() == \
                (outs[1] / "checkpoint_seed0.bin").read_bytes()
 
+    def test_rerun_from_written_config_is_byte_identical(self, triple_dir, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["train", *triple_args(triple_dir), *FAST, "--lam", "0.5",
+                     "--seeds", "0,1", "--out", str(first)]) == 0
+        assert "# seeds = 0,1" in (first / "config.txt").read_text()
+        assert main(["train", *triple_args(triple_dir), "--config", str(first / "config.txt"),
+                     "--seeds", "0,1", "--out", str(second)]) == 0
+        assert (first / "results.tsv").read_bytes() == (second / "results.tsv").read_bytes()
+        assert (first / "config.txt").read_bytes() == (second / "config.txt").read_bytes()
+
     def test_config_file_with_override(self, triple_dir, tmp_path):
         cfg_file = tmp_path / "cfg.txt"
         cfg_file.write_text("lam = 0.25\nmax_epochs = 2\nbatch_size = 64\n"
@@ -180,3 +190,25 @@ class TestEvaluateAndExport:
                      "--checkpoint", str(trained), "--user", "99",
                      "--out", str(tmp_path / "x.tsv")])
         assert code == 2
+
+    @pytest.mark.parametrize("cut", [12, 16])
+    def test_truncated_checkpoint_is_a_data_error(self, triple_dir, trained, tmp_path, capsys,
+                                                  cut):
+        short = tmp_path / "short.bin"
+        short.write_bytes(trained.read_bytes()[:-cut])
+        code = main(["evaluate", *triple_args(triple_dir), "--checkpoint", str(short)])
+        assert code == 3
+        assert "payload" in capsys.readouterr().err
+
+    def test_checkpoint_of_another_shape_is_a_data_error(self, triple_dir, trained, tmp_path,
+                                                         capsys):
+        more_users = ["--dataset", "triples", "--data-dir", str(triple_dir),
+                      "--num-users", "35", "--num-items", "20"]
+        assert main(["evaluate", *more_users, "--checkpoint", str(trained)]) == 3
+        assert "30 users x 20 items" in capsys.readouterr().err
+        more_items = ["--dataset", "triples", "--data-dir", str(triple_dir),
+                      "--num-users", "30", "--num-items", "25"]
+        code = main(["export-embeddings", *more_items, "--checkpoint", str(trained),
+                     "--user", "0", "--out", str(tmp_path / "x.tsv")])
+        assert code == 3
+        assert not (tmp_path / "x.tsv").exists()

@@ -7,6 +7,7 @@ from cclrec.contrastive import (
     build_views,
     ccl_loss,
     ccl_loss_and_grad,
+    make_sampler,
     sample_popularity_difference,
     sample_propensity_difference,
     sample_random_counterfactual,
@@ -294,6 +295,41 @@ class TestBuildViews:
         bq = build_views(b, params, np.array([0]), np.array([0]), "pop", tau=1.0,
                          popularity=pop)
         assert bq.positive_items[0] == 5
+
+
+class TestMakeSampler:
+    @pytest.fixture
+    def setting(self):
+        b = make_bundle(3, 6, [(0, 0), (0, 1), (1, 2), (2, 3), (2, 5)])
+        props = PropensityTable(3, 6, 1e-6, dense=np.random.default_rng(2).uniform(0.1, 1, (3, 6)))
+        pop = PopularityTable(np.linspace(1.0, 0.1, 6))
+        return b, props, pop
+
+    def test_each_kind_equals_its_per_sample_function(self, setting):
+        b, props, pop = setting
+        users = np.array([0, 1, 2, 2, 0])
+        items = np.array([0, 2, 3, 5, 1])
+        got = make_sampler("cf", b)(users, items, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        want = [sample_random_counterfactual(b, u, i, rng) for u, i in zip(users, items)]
+        assert got.dtype == np.int64 and got.tolist() == want
+        got = make_sampler("ps", b, propensities=props)(users, items)
+        assert got.tolist() == [sample_propensity_difference(props, u, i)
+                                for u, i in zip(users, items)]
+        got = make_sampler("pop", b, popularity=pop)(users, items)
+        assert got.tolist() == [sample_popularity_difference(pop, i) for i in items]
+
+    @pytest.mark.parametrize("kind,match", [("nope", "sampler must be"),
+                                            ("ps", "propensity table"),
+                                            ("pop", "popularity table")])
+    def test_checks_kind_and_table_when_made(self, setting, kind, match):
+        with pytest.raises(ValueError, match=match):
+            make_sampler(kind, setting[0])
+
+    def test_empty_batch(self, setting):
+        empty = np.array([], dtype=np.int64)
+        out = make_sampler("cf", setting[0])(empty, empty, np.random.default_rng(0))
+        assert out.dtype == np.int64 and out.shape == (0,)
 
 
 class TestScatterViewGrads:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cclrec.data import (
     DataFormatError,
@@ -193,3 +194,38 @@ class TestHoldoutSplit:
     def test_bad_fraction(self, table):
         with pytest.raises(ValueError):
             holdout_split(table, 1.0, seed=0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.integers(1, 12),
+           st.floats(0.0, 0.95))
+    def test_matches_per_user_loop(self, seed, rows, users, fraction):
+        rng = np.random.default_rng(seed)
+        table = InteractionTable.from_lists(rng.integers(-2, users, rows), rng.integers(0, 9, rows),
+                                            rng.integers(1, 6, rows))
+        got = holdout_split(table, fraction, seed)
+        want = per_user_loop_split(table, fraction, seed)
+        for a, b in zip(got, want):
+            for column in ("users", "items", "ratings", "labels"):
+                assert getattr(a, column).tolist() == getattr(b, column).tolist()
+
+
+def per_user_loop_split(table, fraction, seed):
+    """The split as one scan per user (the former implementation), for reference."""
+    k = len(table)
+    n_val = int(round(fraction * k))
+    if n_val == 0:
+        return table, table.subset(np.array([], dtype=np.int64))
+    keys = np.random.default_rng(seed).random(k)
+    val_mask = np.zeros(k, dtype=bool)
+    taken = 0
+    for u in np.unique(table.users):
+        idx = np.nonzero(table.users == u)[0]
+        quota = int(np.floor(fraction * len(idx)))
+        if quota > 0:
+            val_mask[idx[np.argsort(keys[idx], kind="stable")[:quota]]] = True
+            taken += quota
+    remaining = n_val - taken
+    if remaining > 0:
+        pool = np.nonzero(~val_mask)[0]
+        val_mask[pool[np.argsort(keys[pool], kind="stable")[:remaining]]] = True
+    return table.subset(np.nonzero(~val_mask)[0]), table.subset(np.nonzero(val_mask)[0])

@@ -13,6 +13,7 @@ from cclrec.metrics import (
     mrr,
     ndcg_at_k,
     rank_user,
+    rank_users,
     recall_at_k,
 )
 from cclrec.model import init_params
@@ -165,6 +166,36 @@ class TestRankUser:
         a = rank_user(0, items, scores, rel)
         b = rank_user(0, items, np.exp(3 * scores) + 1, rel)
         assert a.items.tolist() == b.items.tolist()
+
+
+class TestRankUsers:
+    @given(st.integers(0, 10_000))
+    def test_equals_per_user_rank_user(self, seed):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 60))
+        users = rng.integers(0, 7, k)
+        items = rng.integers(0, 9, k)
+        scores = rng.integers(0, 3, k) / 2  # few distinct values: many tied scores
+        rel = rng.integers(0, 2, k)
+        got = rank_users(users, items, scores, rel)
+        want = []
+        for u in np.unique(users):
+            mask = users == u
+            want.append(rank_user(int(u), items[mask], scores[mask], rel[mask]))
+        assert [r.user for r in got] == [r.user for r in want]
+        for a, b in zip(got, want):
+            assert a.items.tolist() == b.items.tolist()
+            assert a.relevance.tolist() == b.relevance.tolist()
+
+    def test_ties_by_item_within_each_user(self):
+        got = rank_users(np.array([1, 0, 1, 0, 1]), np.array([9, 4, 3, 2, 5]),
+                         np.array([0.5, 0.5, 0.5, 0.5, 0.7]), np.array([1, 0, 0, 1, 0]))
+        assert [(r.user, r.items.tolist(), r.relevance.tolist()) for r in got] == \
+            [(0, [2, 4], [1, 0]), (1, [5, 3, 9], [0, 0, 1])]
+
+    def test_empty(self):
+        empty = np.array([], dtype=np.int64)
+        assert rank_users(empty, empty, np.array([]), empty) == []
 
 
 class TestEvaluate:

@@ -133,7 +133,42 @@ class TestIPSAndSNIPS:
             M.snips_loss(losses, p), abs=1e-12)
 
 
+class TestRecWeights:
+    def test_ips_and_snips_wrappers_use_the_weights(self):
+        losses = np.array([0.3, 0.7, 0.2])
+        p = np.array([0.4, 0.8, 0.5])
+        assert M.ips_loss(losses, p) == float((M.rec_weights("ips", p, 3) * losses).sum())
+        assert M.snips_loss(losses, p) == float((M.rec_weights("snips", p, 3) * losses).sum())
+        assert M.rec_weights("plain", None, 4).tolist() == [0.25] * 4
+
+    @pytest.mark.parametrize("objective", ["log", "focal", "dr"])
+    def test_rejects_loss_kinds_and_unknown_objectives(self, objective):
+        with pytest.raises(ValueError, match="unknown rec objective"):
+            M.rec_weights(objective, np.ones(2), 2)
+
+    @pytest.mark.parametrize("objective", ["ips", "snips"])
+    def test_rejects_non_positive_propensities(self, objective):
+        with pytest.raises(ValueError, match="positive"):
+            M.rec_weights(objective, np.array([0.5, 0.0]), 2)
+
+    def test_per_sample_loss_dispatch(self):
+        y, labels = np.array([0.2, 0.9]), np.array([1, 0])
+        assert M.per_sample_loss(y, labels).tolist() == M.log_loss_per_sample(y, labels).tolist()
+        assert M.per_sample_loss(y, labels, "focal", 2.0).tolist() == \
+            M.focal_loss_per_sample(y, labels, 2.0).tolist()
+        assert M.log_loss(y, labels) == float(M.log_loss_per_sample(y, labels).mean())
+        with pytest.raises(ValueError, match="unknown loss kind"):
+            M.per_sample_loss(y, labels, "ips")
+
+
 class TestBackward:
+    @pytest.mark.parametrize("loss_kind", ["plain", "ips", "snips", "hinge"])
+    def test_rejects_anything_but_log_and_focal(self, loss_kind):
+        params = M.init_params(2, 2, 2, 1, np.random.default_rng(0))
+        batch = M.forward(params, np.array([0]), np.array([1]))
+        with pytest.raises(ValueError, match="unknown loss kind"):
+            M.backward(params, batch, np.array([1.0]), np.array([1.0]), loss_kind)
+
     @pytest.mark.parametrize("loss_kind,gamma", [("log", 0.0), ("focal", 2.0)])
     def test_matches_finite_differences(self, loss_kind, gamma):
         rng = np.random.default_rng(7)

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from cclrec.data import DatasetBundle, ExposureMatrix, FeatureTable, InteractionTable
+from cclrec.data import (
+    DataFormatError,
+    DatasetBundle,
+    ExposureMatrix,
+    FeatureTable,
+    InteractionTable,
+)
 from cclrec.propensity import (
     LogisticHyper,
     PropensityTable,
@@ -175,9 +181,40 @@ class TestSerialization:
         loaded = load_table(tmp_path / "t.bin")
         assert loaded.class_probs == t.class_probs
         assert loaded.marginal == t.marginal
+        assert loaded.row(0).tolist() == t.row(0).tolist()
+        users, items = np.array([0]), np.array([0])
+        assert loaded.gather(users, items).tolist() == t.gather(users, items).tolist()
 
     def test_popularity_round_trip(self, tmp_path):
         pop = popularity_from_counts([1, 2, 3])
         save_table(tmp_path / "p.bin", pop)
         loaded = load_table(tmp_path / "p.bin")
         assert (loaded.values == pop.values).all()
+
+
+class TestSerializationErrors:
+    @pytest.mark.parametrize("cut", [1, 8, 24])
+    def test_truncated_per_class_table(self, tmp_path, cut):
+        train = InteractionTable.from_lists([0, 1], [0, 2], [5, 1])
+        mcar = InteractionTable.from_lists([0, 1, 1], [1, 0, 1], [5, 1, 4])
+        save_table(tmp_path / "t.bin", estimate_propensity_nb(train, mcar, m=2, n=3))
+        raw = (tmp_path / "t.bin").read_bytes()
+        (tmp_path / "t.bin").write_bytes(raw[:-cut])
+        with pytest.raises(DataFormatError, match="payload"):
+            load_table(tmp_path / "t.bin")
+
+    def test_truncated_dense_table(self, tmp_path):
+        save_table(tmp_path / "t.bin", PropensityTable(2, 3, 0.05, dense=np.full((2, 3), 0.5)))
+        (tmp_path / "t.bin").write_bytes((tmp_path / "t.bin").read_bytes()[:-8])
+        with pytest.raises(DataFormatError):
+            load_table(tmp_path / "t.bin")
+
+    def test_per_class_table_without_grid_round_trips(self, tmp_path):
+        t = PropensityTable(1, 2, 0.05, class_probs=(0.2, 0.4), marginal=0.3)
+        save_table(tmp_path / "t.bin", t)
+        assert load_table(tmp_path / "t.bin").row(0).tolist() == [0.3, 0.3]
+
+    def test_bad_header(self, tmp_path):
+        (tmp_path / "t.bin").write_bytes(b"matrix 1 2 0.1\n")
+        with pytest.raises(DataFormatError):
+            load_table(tmp_path / "t.bin")

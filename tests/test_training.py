@@ -58,6 +58,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown key"):
             TrainConfig.from_kv("nope = 1\n")
 
+    @pytest.mark.parametrize("key", ["log_batches", "seeds"])
+    def test_kv_rejects_removed_and_foreign_keys(self, key):
+        with pytest.raises(ValueError, match=f"unknown key '{key}'"):
+            TrainConfig.from_kv(f"{key} = 1\n")
+
     def test_kv_reports_line_number(self):
         with pytest.raises(ValueError, match="line 2"):
             TrainConfig.from_kv("lam = 1\nbroken line\n")
