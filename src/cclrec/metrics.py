@@ -117,45 +117,79 @@ def rank_user(user: int, items: np.ndarray, scores: np.ndarray,
     return RankedList(user, items[order], relevance[order])
 
 
-def rank_users(users: np.ndarray, items: np.ndarray, scores: np.ndarray,
-               relevance: np.ndarray) -> list[RankedList]:
-    """One rank_user list per distinct user, ascending by user, from one sort."""
+def _row_prefix_sums(values: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """Each row of `values` summed over its first `widths[u]` columns.
+
+    numpy adds fewer than 8 numbers left to right and 8 or more pairwise,
+    so a zero-padded row can round differently from the unpadded one; rows
+    of equal width are summed together, as 1-D sums of that width.
+    """
+    out = np.zeros(len(values))
+    for w in np.unique(widths):
+        rows = np.flatnonzero(widths == w)
+        out[rows] = values[rows, :w].sum(axis=1)
+    return out
+
+
+def ranking_report(users: np.ndarray, items: np.ndarray, scores: np.ndarray,
+                   labels: np.ndarray, n_items: int, gini_k: int = 5) -> MetricsReport:
+    """The metric suite from one sort of the rows by (user, score descending, item).
+
+    Each ranking metric is a reduction over user segments of the sorted rows
+    and equals, bit for bit, the mean of the single-list functions above.
+    """
     if len(users) == 0:
-        return []
+        raise ValueError("empty test table")
     order = np.lexsort((items, -scores, users))
-    grouped = users[order]
-    bounds = np.flatnonzero(grouped[1:] != grouped[:-1]) + 1
-    return [RankedList(int(u[0]), it, rel) for u, it, rel in
-            zip(np.split(grouped, bounds), np.split(items[order], bounds),
-                np.split(relevance[order], bounds))]
+    grouped, rel, ranked_items = users[order], labels[order], items[order]
+    starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
+    n_users = len(starts)
+    lengths = np.diff(np.r_[starts, len(order)])
+    seg = np.repeat(np.arange(n_users), lengths)  # user index of each sorted row
+    pos = np.arange(len(order)) - starts[seg]  # 0-based rank within the user's list
+    total = np.add.reduceat(rel, starts)
+    has_rel = total > 0
+
+    top = pos < 10  # the deepest cut-off, NDCG@10
+    rel_top = np.zeros((n_users, 10), dtype=rel.dtype)
+    rel_top[seg[top], pos[top]] = rel[top]
+
+    def ndcg(k):
+        discounts = 1.0 / np.log2(np.arange(2, k + 2))
+        widths = np.minimum(lengths, k)
+        dcg = _row_prefix_sums(rel_top[:, :k] * discounts, widths)
+        ideal = (np.arange(k) < np.minimum(total, k)[:, None]) * discounts
+        idcg = _row_prefix_sums(ideal, widths)
+        return np.divide(dcg, idcg, out=np.zeros(n_users), where=has_rel)
+
+    def recall(k):
+        return np.divide(rel_top[:, :k].sum(axis=1), total, out=np.zeros(n_users), where=has_rel)
+
+    hit = rel != 0
+    hit_seg, hit_pos = seg[hit], pos[hit]
+    first = np.r_[True, hit_seg[1:] != hit_seg[:-1]]
+    reciprocal_rank = np.zeros(n_users)
+    reciprocal_rank[hit_seg[first]] = 1.0 / (hit_pos[first] + 1)
+
+    shown = pos < gini_k
+    exposure_counts = np.bincount(ranked_items[shown], minlength=n_items)
+    return MetricsReport(
+        mae=mae(scores, labels),
+        auc=auc(scores, labels),
+        ndcg5=float(np.mean(ndcg(5))),
+        ndcg10=float(np.mean(ndcg(10))),
+        recall1=float(np.mean(recall(1))),
+        recall5=float(np.mean(recall(5))),
+        mrr=float(np.mean(reciprocal_rank)),
+        gini=gini(exposure_counts) if exposure_counts.sum() > 0 else 0.0,
+        global_utility=float(rel[shown].sum()) / (n_users * gini_k),
+        users_evaluated=n_users,
+        users_without_relevant=int((~has_rel).sum()),
+    )
 
 
-def evaluate(params: ModelParams, bundle: DatasetBundle, ks=(5, 10),
-             gini_k: int = 5) -> MetricsReport:
+def evaluate(params: ModelParams, bundle: DatasetBundle, gini_k: int = 5) -> MetricsReport:
     """Rank each user's own test items and compute the full metric suite."""
     test = bundle.test
-    if len(test) == 0:
-        raise ValueError("empty test table")
-    batch = forward(params, test.users, test.items)
-    scores = batch.y
-
-    ranked_lists = rank_users(test.users, test.items, scores, test.labels)
-
-    exposure_counts = np.zeros(bundle.n, dtype=np.int64)
-    for r in ranked_lists:
-        np.add.at(exposure_counts, r.items[:gini_k], 1)
-
-    no_rel = sum(1 for r in ranked_lists if r.relevance.sum() == 0)
-    return MetricsReport(
-        mae=mae(scores, test.labels),
-        auc=auc(scores, test.labels),
-        ndcg5=float(np.mean([ndcg_at_k(r, 5) for r in ranked_lists])),
-        ndcg10=float(np.mean([ndcg_at_k(r, 10) for r in ranked_lists])),
-        recall1=float(np.mean([recall_at_k(r, 1) for r in ranked_lists])),
-        recall5=float(np.mean([recall_at_k(r, 5) for r in ranked_lists])),
-        mrr=float(np.mean([mrr(r) for r in ranked_lists])),
-        gini=gini(exposure_counts) if exposure_counts.sum() > 0 else 0.0,
-        global_utility=global_utility(ranked_lists, gini_k),
-        users_evaluated=len(ranked_lists),
-        users_without_relevant=no_rel,
-    )
+    scores = forward(params, test.users, test.items).y
+    return ranking_report(test.users, test.items, scores, test.labels, bundle.n, gini_k)

@@ -225,32 +225,45 @@ def backward(params: ModelParams, batch: PredictionBatch, labels: np.ndarray,
 class AdamState:
     m: GradientSet
     v: GradientSet
+    scratch: tuple[GradientSet, GradientSet]  # reused by every step, so a step allocates nothing
     t: int = 0
 
     @staticmethod
     def for_params(params: ModelParams) -> "AdamState":
-        return AdamState(GradientSet.zeros_like(params), GradientSet.zeros_like(params))
+        return AdamState(GradientSet.zeros_like(params), GradientSet.zeros_like(params),
+                         (GradientSet.zeros_like(params), GradientSet.zeros_like(params)))
 
 
 def adam_step(params: ModelParams, grads: GradientSet, state: AdamState,
               lr: float, betas: tuple[float, float] = (0.9, 0.999),
               eps: float = 1e-8, weight_decay: float = 0.0) -> None:
-    """One bias-corrected Adam step with decoupled weight decay (in place)."""
+    """One bias-corrected Adam step with decoupled weight decay (in place).
+
+    The update is p -= lr * (m / c1) / (sqrt(v / c2) + eps), evaluated in
+    that order into the state's scratch arrays.
+    """
     if lr <= 0:
         raise ValueError("lr must be positive")
     b1, b2 = betas
     state.t += 1
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
-    for p, g, m, v in zip(params.flat_arrays(), grads.flat_arrays(),
-                          state.m.flat_arrays(), state.v.flat_arrays()):
+    for p, g, m, v, s, r in zip(params.flat_arrays(), grads.flat_arrays(),
+                                state.m.flat_arrays(), state.v.flat_arrays(),
+                                state.scratch[0].flat_arrays(), state.scratch[1].flat_arrays()):
         m *= b1
-        m += (1 - b1) * g
+        m += np.multiply(1 - b1, g, out=s)
         v *= b2
-        v += (1 - b2) * g * g
+        np.multiply(1 - b2, g, out=s)
+        v += np.multiply(s, g, out=s)
         if weight_decay:
-            p -= lr * weight_decay * p
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+            p -= np.multiply(lr * weight_decay, p, out=s)
+        np.divide(m, c1, out=s)
+        np.multiply(lr, s, out=s)
+        np.divide(v, c2, out=r)
+        np.sqrt(r, out=r)
+        r += eps
+        p -= np.divide(s, r, out=s)
 
 
 def save_checkpoint(path, params: ModelParams) -> None:
@@ -281,6 +294,9 @@ def load_checkpoint(path) -> ModelParams:
         sizes = [int(np.prod(shape)) for shape in shapes]
     except (ValueError, KeyError, TypeError) as e:
         raise DataFormatError(f"{path}: bad checkpoint header ({e})") from e
+    if activation != "relu":
+        raise DataFormatError(f"{path}: checkpoint activation {activation!r}; "
+                              "only 'relu' is implemented")
     if len(raw) != 8 * sum(sizes):
         raise DataFormatError(f"{path}: checkpoint payload is {len(raw)} bytes, "
                               f"its header needs {8 * sum(sizes)}")

@@ -26,6 +26,10 @@ from cclrec.propensity import (
 )
 
 
+# case-insensitive; to_kv writes True / False
+BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 @dataclass
 class TrainConfig:
     lam: float = 1.0  # weight of the contrastive term
@@ -81,7 +85,10 @@ class TrainConfig:
                 raise ValueError(f"config line {lineno}: unknown key {key!r}")
             kind = casts[key]
             if kind in ("bool", bool):
-                kwargs[key] = value.lower() in ("1", "true", "yes")
+                if value.lower() not in BOOL_WORDS:
+                    raise ValueError(f"config line {lineno}: {key} must be one of "
+                                     f"{'/'.join(BOOL_WORDS)}, got {value!r}")
+                kwargs[key] = BOOL_WORDS[value.lower()]
             elif kind in ("int", int):
                 kwargs[key] = int(value)
             elif kind in ("float", float):
@@ -254,8 +261,7 @@ def _validation_loss(params, config, val_part: InteractionTable, lam_ccl, sample
     return float(rec + lam_ccl * cclv)
 
 
-def _run_arms(bundle: DatasetBundle, config: TrainConfig, arms, seeds: list[int],
-              ks) -> list[dict]:
+def _run_arms(bundle: DatasetBundle, config: TrainConfig, arms, seeds: list[int]) -> list[dict]:
     """Train each (arm, config overrides) on every seed; one metrics row per arm per seed."""
     from cclrec.metrics import evaluate
 
@@ -263,19 +269,16 @@ def _run_arms(bundle: DatasetBundle, config: TrainConfig, arms, seeds: list[int]
     for arm, overrides in arms:
         for seed in seeds:
             params, _ = train(bundle, replace(config, seed=seed, **overrides))
-            rows.append({"arm": arm, "seed": seed, **evaluate(params, bundle, ks=ks).as_dict()})
+            rows.append({"arm": arm, "seed": seed, **evaluate(params, bundle).as_dict()})
     return rows
 
 
-def run_ablation(bundle: DatasetBundle, config: TrainConfig, seeds: list[int],
-                 ks=(5, 10)) -> list[dict]:
+def run_ablation(bundle: DatasetBundle, config: TrainConfig, seeds: list[int]) -> list[dict]:
     """Train {with CCL, without CCL} on shared seeds; one metrics row per arm per seed."""
-    return _run_arms(bundle, config, [("with_ccl", {}), ("without_ccl", {"lam": 0.0})],
-                     seeds, ks)
+    return _run_arms(bundle, config, [("with_ccl", {}), ("without_ccl", {"lam": 0.0})], seeds)
 
 
-def run_sampler_sweep(bundle: DatasetBundle, config: TrainConfig, seeds: list[int],
-                      ks=(5, 10)) -> list[dict]:
+def run_sampler_sweep(bundle: DatasetBundle, config: TrainConfig, seeds: list[int]) -> list[dict]:
     """Train {cf, ps, pop, no-ssl} arms on shared seeds and evaluate each."""
     arms = [(kind, {"sampler": kind}) for kind in C.SAMPLER_KINDS] + [("no-ssl", {"lam": 0.0})]
-    return _run_arms(bundle, config, arms, seeds, ks)
+    return _run_arms(bundle, config, arms, seeds)

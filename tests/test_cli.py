@@ -124,6 +124,15 @@ class TestExitCodes:
                      "--lam", "-1", "--seeds", "0", "--out", str(tmp_path / "x")])
         assert code == 2
 
+    def test_unreadable_boolean_in_config_file(self, triple_dir, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.txt"
+        cfg_file.write_text("max_epochs = 2\ncosine = ture\n")
+        code = main(["train", *triple_args(triple_dir), "--config", str(cfg_file),
+                     "--seeds", "0", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "config line 2" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_empty_seed_list(self, triple_dir, tmp_path):
         code = main(["train", *triple_args(triple_dir), *FAST,
                      "--seeds", ",", "--out", str(tmp_path / "x")])
@@ -212,3 +221,13 @@ class TestEvaluateAndExport:
                      "--user", "0", "--out", str(tmp_path / "x.tsv")])
         assert code == 3
         assert not (tmp_path / "x.tsv").exists()
+
+    def test_checkpoint_of_another_activation_is_a_data_error(self, triple_dir, trained,
+                                                              tmp_path, capsys):
+        header, _, payload = trained.read_bytes().partition(b"\n")
+        assert b'"activation": "relu"' in header
+        tanh = tmp_path / "tanh.bin"
+        tanh.write_bytes(header.replace(b'"relu"', b'"tanh"') + b"\n" + payload)
+        code = main(["evaluate", *triple_args(triple_dir), "--checkpoint", str(tanh)])
+        assert code == 3
+        assert "'tanh'" in capsys.readouterr().err

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from cclrec.data import DatasetBundle, ExposureMatrix, InteractionTable
 from cclrec.metrics import (
+    MetricsReport,
     RankedList,
     auc,
     evaluate,
@@ -13,7 +14,7 @@ from cclrec.metrics import (
     mrr,
     ndcg_at_k,
     rank_user,
-    rank_users,
+    ranking_report,
     recall_at_k,
 )
 from cclrec.model import init_params
@@ -24,6 +25,39 @@ TOL = 1e-9
 def ranked(relevance):
     rel = np.asarray(relevance)
     return RankedList(0, np.arange(len(rel)), rel)
+
+
+def rank_users(users, items, scores, relevance):
+    """One rank_user list per distinct user, ascending by user, from one sort."""
+    if len(users) == 0:
+        return []
+    order = np.lexsort((items, -scores, users))
+    grouped = users[order]
+    bounds = np.flatnonzero(grouped[1:] != grouped[:-1]) + 1
+    return [RankedList(int(u[0]), it, rel) for u, it, rel in
+            zip(np.split(grouped, bounds), np.split(items[order], bounds),
+                np.split(relevance[order], bounds))]
+
+
+def per_list_report(users, items, scores, labels, n_items, gini_k):
+    """The metric suite as one rank_user list and one call per metric per user."""
+    lists = rank_users(users, items, scores, labels)
+    exposure_counts = np.zeros(n_items, dtype=np.int64)
+    for r in lists:
+        np.add.at(exposure_counts, r.items[:gini_k], 1)
+    return MetricsReport(
+        mae=mae(scores, labels),
+        auc=auc(scores, labels),
+        ndcg5=float(np.mean([ndcg_at_k(r, 5) for r in lists])),
+        ndcg10=float(np.mean([ndcg_at_k(r, 10) for r in lists])),
+        recall1=float(np.mean([recall_at_k(r, 1) for r in lists])),
+        recall5=float(np.mean([recall_at_k(r, 5) for r in lists])),
+        mrr=float(np.mean([mrr(r) for r in lists])),
+        gini=gini(exposure_counts) if exposure_counts.sum() > 0 else 0.0,
+        global_utility=global_utility(lists, gini_k),
+        users_evaluated=len(lists),
+        users_without_relevant=sum(1 for r in lists if r.relevance.sum() == 0),
+    )
 
 
 class TestMAE:
@@ -196,6 +230,51 @@ class TestRankUsers:
     def test_empty(self):
         empty = np.array([], dtype=np.int64)
         assert rank_users(empty, empty, np.array([]), empty) == []
+
+
+REPORT_FIELDS = MetricsReport.COLUMNS + ("users_evaluated", "users_without_relevant")
+
+
+def assert_same_report(got, want):
+    for name in REPORT_FIELDS:
+        assert getattr(got, name) == getattr(want, name), name
+
+
+class TestRankingReport:
+    """ranking_report equals the per-list loop bit for bit (==, not within a tolerance)."""
+
+    @given(st.integers(0, 10_000), st.integers(1, 12), st.sampled_from([1, 5, 12]))
+    def test_equals_per_list_loop(self, seed, n_users, gini_k):
+        rng = np.random.default_rng(seed)
+        n_items = 40
+        user_ids = rng.choice(100, n_users, replace=False)
+        lengths = rng.integers(1, 31, n_users)
+        users = np.repeat(user_ids, lengths)
+        items = np.concatenate([rng.choice(n_items, k, replace=False) for k in lengths])
+        # per-user relevance rates from none to all, so some users have no relevant
+        # item and some long lists are mostly relevant
+        rate = np.repeat(rng.choice([0.0, 0.3, 0.7, 1.0], n_users), lengths)
+        labels = (rng.random(len(users)) < rate).astype(np.int64)
+        scores = rng.integers(0, 4, len(users)) / 4  # four distinct values: many ties
+        # user 100 has one relevant and one irrelevant item, so AUC is defined
+        users, items = np.append(users, [100, 100]), np.append(items, [0, 1])
+        labels, scores = np.append(labels, [1, 0]), np.append(scores, [0.5, 0.5])
+        shuffle = rng.permutation(len(users))  # rows not grouped by user
+        args = (users[shuffle], items[shuffle], scores[shuffle], labels[shuffle], n_items, gini_k)
+        assert_same_report(ranking_report(*args), per_list_report(*args))
+
+    def test_every_relevance_pattern_up_to_ten_items(self):
+        # numpy sums fewer than 8 numbers left to right and 8 or more pairwise,
+        # so a list's gains padded with zeros can round differently. User 1 has
+        # one irrelevant item: it gives AUC a negative and adds 0 to every mean.
+        for length in range(1, 11):
+            for pattern in range(1, 2 ** length):
+                rel = np.append((pattern >> np.arange(length)) & 1, 0)
+                users = np.append(np.zeros(length, dtype=np.int64), 1)
+                items = np.append(np.arange(length), 0)
+                scores = np.append(1 - np.arange(length) / 16, 0.5)
+                args = (users, items, scores, rel, length, 5)
+                assert_same_report(ranking_report(*args), per_list_report(*args))
 
 
 class TestEvaluate:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cclrec import model as M
+from cclrec.data import DataFormatError
 
 
 @pytest.fixture
@@ -271,6 +272,34 @@ class TestAdam:
         M.adam_step(params, grads, state, lr=1e-3)
         assert params.user_embeddings[0, 0] ** 2 < 1.0
 
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+    def test_twenty_steps_equal_the_formula(self, weight_decay):
+        def reference_step(params, grads, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+            c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+            for p, g, mi, vi in zip(params.flat_arrays(), grads.flat_arrays(), m, v):
+                mi *= b1
+                mi += (1 - b1) * g
+                vi *= b2
+                vi += (1 - b2) * g * g
+                if weight_decay:
+                    p -= lr * weight_decay * p
+                p -= lr * (mi / c1) / (np.sqrt(vi / c2) + eps)
+
+        rng = np.random.default_rng(3)
+        got = M.init_params(7, 5, 3, 1, np.random.default_rng(4))
+        want = got.copy()
+        state = M.AdamState.for_params(got)
+        m = [np.zeros_like(a) for a in want.flat_arrays()]
+        v = [np.zeros_like(a) for a in want.flat_arrays()]
+        for t in range(1, 21):
+            grads = M.GradientSet.zeros_like(got)
+            for a in grads.flat_arrays():
+                a += rng.normal(size=a.shape) * (rng.random(a.shape) < 0.7)
+            M.adam_step(got, grads, state, lr=3e-2, weight_decay=weight_decay)
+            reference_step(want, grads, m, v, t, lr=3e-2)
+        for a, b in zip(got.flat_arrays(), want.flat_arrays()):
+            assert np.array_equal(a, b)
+
     def test_bad_lr(self, small_params):
         with pytest.raises(ValueError):
             M.adam_step(small_params, M.GradientSet.zeros_like(small_params),
@@ -285,6 +314,12 @@ class TestCheckpoint:
         for a, b in zip(small_params.flat_arrays(), loaded.flat_arrays()):
             assert (a == b).all()
         assert loaded.activation == small_params.activation
+
+    def test_other_activation_is_a_data_error(self, small_params, tmp_path):
+        small_params.activation = "tanh"
+        M.save_checkpoint(tmp_path / "tanh.bin", small_params)
+        with pytest.raises(DataFormatError, match="activation 'tanh'"):
+            M.load_checkpoint(tmp_path / "tanh.bin")
 
     def test_same_params_same_bytes(self, small_params, tmp_path):
         M.save_checkpoint(tmp_path / "a.bin", small_params)

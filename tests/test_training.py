@@ -50,6 +50,21 @@ class TestConfig:
                           max_epochs=7, rec_objective="snips")
         assert TrainConfig.from_kv(cfg.to_kv()) == cfg
 
+    @pytest.mark.parametrize("value, want", [("True", True), ("false", False), ("YES", True),
+                                             ("no", False), ("1", True), ("0", False)])
+    def test_kv_booleans(self, value, want):
+        assert TrainConfig.from_kv(f"cosine = {value}\n").cosine is want
+
+    @pytest.mark.parametrize("value", ["ture", "on", "off", "", "2"])
+    def test_kv_rejects_unreadable_boolean(self, value):
+        with pytest.raises(ValueError, match="config line 2: cosine"):
+            TrainConfig.from_kv(f"lam = 1\ncosine = {value}\n")
+
+    @pytest.mark.parametrize("cosine", [True, False])
+    def test_kv_round_trips_both_booleans(self, cosine):
+        cfg = TrainConfig(cosine=cosine)
+        assert TrainConfig.from_kv(cfg.to_kv()) == cfg
+
     def test_kv_comments_and_blanks(self):
         cfg = TrainConfig.from_kv("# comment\n\nlam = 0.25  # inline\nseed = 3\n")
         assert cfg.lam == 0.25 and cfg.seed == 3
