@@ -69,40 +69,56 @@ class InteractionTable:
 
 
 class ExposureMatrix:
-    """Sparse binary m x n exposure indicator with O(1) membership."""
+    """Sparse binary m x n exposure indicator: the pair keys u * n + i, sorted.
+
+    The items of the sorted pairs, cut at user offsets, form a CSR index, so
+    a user's exposed items are one slice and membership is a binary search.
+    """
 
     def __init__(self, m: int, n: int, table: InteractionTable):
         self.m = m
         self.n = n
-        self._by_user: list[np.ndarray] = []
-        self._pair_set: set[int] = set()
-        per_user: list[list[int]] = [[] for _ in range(m)]
-        for u, i in zip(table.users.tolist(), table.items.tolist()):
-            key = u * n + i
-            if key in self._pair_set:
-                raise ValueError(f"duplicate pair ({u}, {i}) in interaction table")
-            self._pair_set.add(key)
-            per_user[u].append(i)
-        for items in per_user:
-            self._by_user.append(_freeze(np.array(sorted(items), dtype=np.int64)))
+        users, items = table.users, table.items
+        if len(users) and (users.min() < 0 or users.max() >= m
+                           or items.min() < 0 or items.max() >= n):
+            raise ValueError(f"interaction table has a pair outside {m} x {n}")
+        keys = users * n + items
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        repeats = order[1:][keys[1:] == keys[:-1]]  # every occurrence after a pair's first
+        if len(repeats):
+            row = repeats.min()
+            raise ValueError(f"duplicate pair ({users[row]}, {items[row]}) in interaction table")
+        self._keys = _freeze(keys)
+        self._items = _freeze(items[order])
+        self._starts = _freeze(np.searchsorted(users[order], np.arange(m + 1)))
 
     def __len__(self) -> int:
-        return len(self._pair_set)
+        return len(self._keys)
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
         u, i = pair
-        return u * self.n + i in self._pair_set
+        return bool(self.contains([u], [i])[0])
+
+    def contains(self, users, items) -> np.ndarray:
+        """Membership of each pair (users[j], items[j]), as a boolean array."""
+        users = np.asarray(users, dtype=np.int64)
+        items = np.asarray(items, dtype=np.int64)
+        keys = np.where((items >= 0) & (items < self.n), users * self.n + items, -1)
+        at = np.searchsorted(self._keys, keys)
+        found = at < len(self._keys)
+        found[found] = self._keys[at[found]] == keys[found]
+        return found
 
     def user_items(self, user: int) -> np.ndarray:
         """Sorted exposed item indices for one user."""
-        return self._by_user[user]
+        if not 0 <= user < self.m:
+            raise IndexError(f"user {user} out of range [0, {self.m})")
+        return self._items[self._starts[user]:self._starts[user + 1]]
 
     def item_counts(self) -> np.ndarray:
         """Column sums of the exposure indicator (interactions per item)."""
-        counts = np.zeros(self.n, dtype=np.int64)
-        for items in self._by_user:
-            np.add.at(counts, items, 1)
-        return counts
+        return np.bincount(self._items, minlength=self.n)
 
 
 @dataclass(frozen=True)
@@ -209,9 +225,9 @@ _SEPARATORS = ("\t", ",", None)  # None = any whitespace
 
 
 def _parse_triple_file(path: Path, m: int, n: int, one_based: bool):
-    """Parse triples; duplicates keep the last occurrence. Returns rows + dup count."""
-    seen: dict[int, tuple[int, int, int]] = {}
-    duplicates = 0
+    """Parse triples into (users, items, ratings) int64 columns sorted by
+    (user, item); duplicates keep the last occurrence. Returns columns + dup count."""
+    users, items, ratings = [], [], []
     offset = 1 if one_based else 0
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
@@ -236,12 +252,17 @@ def _parse_triple_file(path: Path, m: int, n: int, one_based: bool):
                 raise DataFormatError(f"{path}:{lineno}: id ({u},{i}) out of range {m}x{n}")
             if r < 1 or r > 5:
                 raise DataFormatError(f"{path}:{lineno}: rating {r} outside 1..5")
-            key = u * n + i
-            if key in seen:
-                duplicates += 1
-            seen[key] = (u, i, r)
-    rows = sorted(seen.values())
-    return rows, duplicates
+            users.append(u)
+            items.append(i)
+            ratings.append(r)
+    columns = [np.array(c, dtype=np.int64) for c in (users, items, ratings)]
+    keys = columns[0] * n + columns[1]
+    order = np.argsort(keys, kind="stable")  # equal keys stay in file order
+    keys = keys[order]
+    last = np.ones(len(keys), dtype=bool)
+    last[:-1] = keys[1:] != keys[:-1]
+    keep = order[last]
+    return [c[keep] for c in columns], len(keys) - len(keep)
 
 
 def load_triples(train_path, test_path, m: int, n: int, one_based: bool = False,
@@ -249,14 +270,10 @@ def load_triples(train_path, test_path, m: int, n: int, one_based: bool = False,
     """Load Yahoo-style "user item rating" triple files."""
     tables = []
     for path in (train_path, test_path):
-        rows, dups = _parse_triple_file(Path(path), m, n, one_based)
+        columns, dups = _parse_triple_file(Path(path), m, n, one_based)
         if dups:
             warnings.warn(f"{path}: {dups} duplicate (user,item) lines, kept last")
-        if rows:
-            users, items, ratings = zip(*rows)
-        else:
-            users, items, ratings = (), (), ()
-        tables.append(InteractionTable.from_lists(users, items, ratings, threshold))
+        tables.append(InteractionTable.from_lists(*columns, threshold=threshold))
     train, test = tables
     return DatasetBundle(m=m, n=n, train=train, test=test,
                          exposure=ExposureMatrix(m, n, train))

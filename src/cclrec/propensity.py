@@ -176,7 +176,7 @@ def estimate_propensity_lr(bundle: DatasetBundle,
     while filled < n_neg:
         cu = rng.integers(0, m, size=n_neg - filled)
         ci = rng.integers(0, n, size=n_neg - filled)
-        keep = np.array([(u, i) not in bundle.exposure for u, i in zip(cu, ci)])
+        keep = ~bundle.exposure.contains(cu, ci)
         take = keep.sum()
         neg_u[filled:filled + take] = cu[keep]
         neg_i[filled:filled + take] = ci[keep]

@@ -56,17 +56,34 @@ class SyntheticBundle:
     confounder: np.ndarray  # length n latent scores
 
 
-def _sample_without_replacement(weights: np.ndarray, k: int,
-                                rng: np.random.Generator) -> np.ndarray:
-    """Sequential weighted draws with renormalization."""
-    w = weights.copy()
-    out = np.empty(k, dtype=np.int64)
-    for j in range(k):
-        p = w / w.sum()
-        pick = rng.choice(len(w), p=p)
-        out[j] = pick
-        w[pick] = 0.0
-    return out
+_BLOCK = 1000  # rows per block; the draw keeps O(block x n) floats alive
+
+
+def _draw_without_replacement(weights: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Weighted draws without replacement, one row of picks per row of uniforms.
+
+    Step j of row r picks what ``Generator.choice(n, p=w / w.sum())`` picks
+    when its uniform is ``uniforms[r, j]``, with the weights of earlier picks
+    zeroed, so feeding it the doubles that k sequential ``choice`` calls
+    would read reproduces those calls exactly.
+    """
+    w = np.asarray(weights, dtype=np.float64)
+    rows, k = uniforms.shape
+    if not (np.isfinite(w).all() and np.isfinite(w.sum())) or (w < 0).any():
+        raise ValueError("weights must be finite and non-negative")
+    if np.count_nonzero(w) < k:
+        raise ValueError(f"{k} draws need at least {k} positive weights, "
+                         f"got {np.count_nonzero(w)}")
+    picks = np.empty((rows, k), dtype=np.int64)
+    for lo in range(0, rows, _BLOCK):
+        u, out = uniforms[lo:lo + _BLOCK], picks[lo:lo + _BLOCK]
+        wb = np.tile(w, (len(u), 1))
+        for j in range(k):
+            cdf = np.cumsum(wb / wb.sum(axis=1, keepdims=True), axis=1)
+            cdf /= cdf[:, -1:]
+            out[:, j] = np.count_nonzero(cdf <= u[:, j, None], axis=1)  # searchsorted, side="right"
+            np.put_along_axis(wb, out[:, j, None], 0.0, axis=1)
+    return picks
 
 
 def estimate_inclusion_probs(weights: np.ndarray, k: int, draws: int = 10_000,
@@ -74,49 +91,62 @@ def estimate_inclusion_probs(weights: np.ndarray, k: int, draws: int = 10_000,
     """Monte-Carlo marginal inclusion probability of the train sampler."""
     rng = np.random.default_rng(seed)
     counts = np.zeros(len(weights), dtype=np.int64)
-    for _ in range(draws):
-        counts[_sample_without_replacement(weights, k, rng)] += 1
+    for lo in range(0, draws, _BLOCK):
+        picks = _draw_without_replacement(weights, rng.random((min(_BLOCK, draws - lo), k)))
+        counts += np.bincount(picks.ravel(), minlength=len(weights))
     return counts / draws
 
 
 def generate(config: SimConfig, inclusion_draws: int = 10_000) -> SyntheticBundle:
-    """Draw a full biased-train / uniform-test bundle; deterministic per seed."""
+    """Draw a full biased-train / uniform-test bundle; deterministic per seed.
+
+    Per user, in order: k weighted train draws, t test items uniform over the
+    rest of the items, then a label for each train and each test item. The
+    loop only reads the random numbers; picks and labels are array work.
+    """
     config.validate()
     rng = np.random.default_rng(config.seed)
+    m, n = config.m, config.n
+    k, t = config.exposures_per_user, config.test_exposures_per_user
     scale = config.latent_scale / np.sqrt(config.latent_dim)
     shift = config.user_latent_mean / np.sqrt(config.latent_dim)
-    u_lat = rng.normal(shift, scale, size=(config.m, config.latent_dim))
-    i_lat = rng.normal(0.0, 1.0, size=(config.n, config.latent_dim)) * scale
-    z = rng.uniform(-config.confounder_half_range, config.confounder_half_range,
-                    size=config.n)
+    u_lat = rng.normal(shift, scale, size=(m, config.latent_dim))
+    i_lat = rng.normal(0.0, 1.0, size=(n, config.latent_dim)) * scale
+    z = rng.uniform(-config.confounder_half_range, config.confounder_half_range, size=n)
     logits = u_lat @ i_lat.T + config.confounder_outcome_weight * z[None, :]
     pref = 1.0 / (1.0 + np.exp(-logits))
 
     weights = np.exp(config.exposure_skew * z)
     weights /= weights.sum()
 
-    users, items, ratings, split = [], [], [], []
-    for u in range(config.m):
-        train_items = _sample_without_replacement(weights, config.exposures_per_user, rng)
-        rest = np.setdiff1d(np.arange(config.n), train_items)
-        test_items = rng.choice(rest, size=config.test_exposures_per_user, replace=False)
-        for part, chosen in (("train", train_items), ("test", test_items)):
-            labels = (rng.random(len(chosen)) < pref[u, chosen]).astype(np.int64)
-            users.extend([u] * len(chosen))
-            items.extend(chosen.tolist())
-            ratings.extend((labels * 4 + 1).tolist())  # 5 = positive, 1 = negative
-            split.extend([part] * len(chosen))
+    train_uniforms = np.empty((m, k))
+    test_picks = np.empty((m, t), dtype=np.int64)  # positions in the user's sorted rest:
+    # choice(n - k, ...) reads what choice(rest, ...) read, and rest[pos] is its pick
+    label_uniforms = np.empty((m, k + t))
+    for u in range(m):
+        train_uniforms[u] = rng.random(k)
+        test_picks[u] = rng.choice(n - k, size=t, replace=False)
+        label_uniforms[u] = rng.random(k + t)
 
-    users = np.array(users)
-    items = np.array(items)
-    ratings = np.array(ratings)
-    is_train = np.array([s == "train" for s in split])
-    train = InteractionTable.from_lists(users[is_train], items[is_train], ratings[is_train])
-    test = InteractionTable.from_lists(users[~is_train], items[~is_train], ratings[~is_train])
-    bundle = DatasetBundle(m=config.m, n=config.n, train=train, test=test,
-                           exposure=ExposureMatrix(config.m, config.n, train))
-    inclusion = estimate_inclusion_probs(weights, config.exposures_per_user,
-                                         draws=inclusion_draws, seed=config.seed + 1)
+    chosen = np.empty((m, k + t), dtype=np.int64)  # train items, then test items
+    for lo in range(0, m, _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        train_items = _draw_without_replacement(weights, train_uniforms[block])
+        unexposed = np.ones((len(train_items), n), dtype=bool)
+        np.put_along_axis(unexposed, train_items, False, axis=1)
+        rest = np.nonzero(unexposed)[1].reshape(len(train_items), n - k)  # sorted per user
+        chosen[block, :k] = train_items
+        chosen[block, k:] = np.take_along_axis(rest, test_picks[block], axis=1)
+    labels = label_uniforms < np.take_along_axis(pref, chosen, axis=1)
+    ratings = labels.astype(np.int64) * 4 + 1  # 5 = positive, 1 = negative
+
+    train = InteractionTable.from_lists(np.repeat(np.arange(m), k),
+                                        chosen[:, :k].ravel(), ratings[:, :k].ravel())
+    test = InteractionTable.from_lists(np.repeat(np.arange(m), t),
+                                       chosen[:, k:].ravel(), ratings[:, k:].ravel())
+    bundle = DatasetBundle(m=m, n=n, train=train, test=test,
+                           exposure=ExposureMatrix(m, n, train))
+    inclusion = estimate_inclusion_probs(weights, k, draws=inclusion_draws, seed=config.seed + 1)
     return SyntheticBundle(bundle, pref, weights, inclusion, z)
 
 

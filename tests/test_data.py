@@ -1,9 +1,14 @@
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cclrec.data import (
     DataFormatError,
+    ExposureMatrix,
     InteractionTable,
     binarize,
     holdout_split,
@@ -147,6 +152,92 @@ class TestLoadTriples:
         (tmp_path / "test.txt").write_text("0 0 2\n")
         with pytest.raises(DataFormatError, match=":2"):
             load_triples(tmp_path / "train.txt", tmp_path / "test.txt", m=1, n=1)
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 5), st.integers(1, 5)),
+                    max_size=40),
+           st.sampled_from([" ", "\t", ","]), st.booleans())
+    def test_matches_dict_reference(self, rows, sep, one_based):
+        # the per-line dict the parser used to keep: the last line of a pair wins
+        seen, dups = {}, 0
+        for u, i, r in rows:
+            dups += (u, i) in seen
+            seen[(u, i)] = r
+        want = sorted((u, i, r) for (u, i), r in seen.items())
+        off = int(one_based)
+        with tempfile.TemporaryDirectory() as d:
+            train, test = Path(d) / "train.txt", Path(d) / "test.txt"
+            train.write_text("".join(f"{u + off}{sep}{i + off}{sep}{r}\n" for u, i, r in rows))
+            test.write_text(f"{off} {off} 2\n")
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                b = load_triples(train, test, m=5, n=6, one_based=one_based)
+        assert list(zip(b.train.users.tolist(), b.train.items.tolist(),
+                        b.train.ratings.tolist())) == want
+        assert b.train.users.dtype == b.train.items.dtype == b.train.ratings.dtype == np.int64
+        expected = [f"{train}: {dups} duplicate (user,item) lines, kept last"] if dups else []
+        assert [str(w.message) for w in caught] == expected
+
+
+def _exposure_reference(m, users, items):
+    """The pair set and per-user sorted lists ExposureMatrix used to build pair by pair."""
+    pairs, per_user = set(), [[] for _ in range(m)]
+    for u, i in zip(users, items):
+        if (u, i) in pairs:
+            raise ValueError(f"duplicate pair ({u}, {i}) in interaction table")
+        pairs.add((u, i))
+        per_user[u].append(i)
+    return pairs, [sorted(x) for x in per_user]
+
+
+def _exposure(m, n, users, items):
+    return ExposureMatrix(m, n, InteractionTable.from_lists(users, items, [4] * len(users)))
+
+
+class TestExposureMatrix:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 7), st.integers(1, 7), st.data())
+    def test_matches_set_reference(self, m, n, data):
+        cells = data.draw(st.lists(st.integers(0, m * n - 1), unique=True, max_size=m * n))
+        users, items = [c // n for c in cells], [c % n for c in cells]
+        ex = _exposure(m, n, users, items)
+        pairs, per_user = _exposure_reference(m, users, items)
+        assert len(ex) == len(pairs)
+        for u in range(m):
+            assert ex.user_items(u).tolist() == per_user[u]
+        grid = [(u, i) for u in range(-1, m + 1) for i in range(-1, n + 1)]
+        want = [pair in pairs for pair in grid]
+        assert [pair in ex for pair in grid] == want
+        gu, gi = zip(*grid)
+        assert ex.contains(np.array(gu), np.array(gi)).tolist() == want
+        assert ex.item_counts().tolist() == np.bincount(items, minlength=n).tolist()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(0, 11), min_size=2, max_size=20))
+    def test_duplicate_names_the_first_repeated_row(self, cells):
+        if len(set(cells)) == len(cells):
+            cells = cells + cells[:1]
+        users, items = [c // 4 for c in cells], [c % 4 for c in cells]
+        with pytest.raises(ValueError) as want:
+            _exposure_reference(3, users, items)
+        with pytest.raises(ValueError) as got:
+            _exposure(3, 4, users, items)
+        assert str(got.value) == str(want.value)
+
+    def test_empty(self):
+        ex = _exposure(2, 3, [], [])
+        assert len(ex) == 0 and (0, 0) not in ex
+        assert ex.user_items(1).tolist() == [] and ex.item_counts().tolist() == [0, 0, 0]
+
+    @pytest.mark.parametrize("user, item", [(2, 0), (-1, 0), (0, 3), (0, -1)])
+    def test_pair_outside_the_grid_rejected(self, user, item):
+        with pytest.raises(ValueError, match="outside 2 x 3"):
+            _exposure(2, 3, [0, user], [1, item])
+
+    def test_user_out_of_range(self):
+        with pytest.raises(IndexError):
+            _exposure(2, 3, [0], [1]).user_items(2)
 
 
 class TestUnexposedItems:

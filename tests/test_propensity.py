@@ -9,6 +9,7 @@ from cclrec.data import (
     InteractionTable,
 )
 from cclrec.propensity import (
+    DEFAULT_FLOOR,
     LogisticHyper,
     PropensityTable,
     clip_propensity,
@@ -34,6 +35,35 @@ def make_bundle(m, n, train_triplets, test_triplets=None,
         m=m, n=n, train=train, test=test, exposure=ExposureMatrix(m, n, train),
         user_features=FeatureTable("user", user_features) if user_features is not None else None,
         item_features=FeatureTable("item", item_features) if item_features is not None else None)
+
+
+def _estimate_propensity_lr_per_pair(bundle, hyper):
+    """estimate_propensity_lr's dense table, filtering negatives one pair at a time."""
+    m, n = bundle.m, bundle.n
+    xu, xi = bundle.user_features.values, bundle.item_features.values
+    pos_u, pos_i = bundle.train.users, bundle.train.items
+    exposed = set(zip(pos_u.tolist(), pos_i.tolist()))
+    rng = np.random.default_rng(hyper.seed)
+    n_neg = int(round(hyper.negative_rate * len(pos_u)))
+    neg_u, neg_i = [], []
+    while len(neg_u) < n_neg:
+        cu = rng.integers(0, m, size=n_neg - len(neg_u))
+        ci = rng.integers(0, n, size=n_neg - len(neg_i))
+        for u, i in zip(cu.tolist(), ci.tolist()):
+            if (u, i) not in exposed:
+                neg_u.append(u)
+                neg_i.append(i)
+    X = np.hstack([np.vstack([xu[pos_u], xu[neg_u]]), np.vstack([xi[pos_i], xi[neg_i]])])
+    y = np.concatenate([np.ones(len(pos_u)), np.zeros(n_neg)])
+    w, b = np.zeros(X.shape[1]), 0.0
+    for _ in range(hyper.epochs):
+        p = 1.0 / (1.0 + np.exp(-(X @ w + b)))
+        err = p - y
+        w -= hyper.learning_rate * (X.T @ err / len(y) + hyper.l2 * w)
+        b -= hyper.learning_rate * err.mean()
+    su, si = xu @ w[:xu.shape[1]], xi @ w[xu.shape[1]:]
+    dense = 1.0 / (1.0 + np.exp(-(su[:, None] + si[None, :] + b)))
+    return np.clip(dense, DEFAULT_FLOOR, 1.0)
 
 
 class TestPopularity:
@@ -137,6 +167,17 @@ class TestLogisticRegression:
         t1 = estimate_propensity_lr(b, LogisticHyper(seed=3))
         t2 = estimate_propensity_lr(b, LogisticHyper(seed=3))
         assert (t1.dense == t2.dense).all()
+
+    def test_negative_filter_matches_per_pair_membership(self):
+        # half the grid is exposed, so about half the candidates are redrawn
+        rng = np.random.default_rng(11)
+        fu = rng.normal(size=(7, 3))
+        fi = rng.normal(size=(9, 2))
+        triplets = [(u, i, 4) for u in range(7) for i in range(9) if (u * 5 + i * 3) % 4 < 2]
+        b = make_bundle(7, 9, triplets, user_features=fu, item_features=fi)
+        for hyper in (LogisticHyper(seed=2, epochs=30), LogisticHyper(seed=5, negative_rate=0.4)):
+            got = estimate_propensity_lr(b, hyper)
+            assert np.array_equal(got.dense, _estimate_propensity_lr_per_pair(b, hyper))
 
     def test_missing_features_error(self):
         b = make_bundle(2, 2, [(0, 0, 5)])
