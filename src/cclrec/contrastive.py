@@ -79,25 +79,11 @@ def ccl_loss_and_grad(batch: CCLBatch, cosine: bool = False) -> tuple[float, np.
     return _ccl_loss_impl(batch, cosine, want_grad=True)
 
 
-_SYM_TILE = 128
-
-
-def _symmetrize_in_place(g: np.ndarray) -> None:
-    """g <- g + g.T, tile by tile, without a second 2N x 2N buffer.
-
-    Each entry is the same single float addition as in ``g + g.T``, so the
-    result is bit-identical to it.
-    """
-    size = g.shape[0]
-    for r in range(0, size, _SYM_TILE):
-        rows = slice(r, r + _SYM_TILE)
-        diag = g[rows, rows]
-        g[rows, rows] = diag + diag.T
-        for c in range(r + _SYM_TILE, size, _SYM_TILE):
-            cols = slice(c, c + _SYM_TILE)
-            block = g[rows, cols]
-            block += g[cols, rows].T
-            g[cols, rows] = block.T
+# Block sizes of the two products. At these sizes OpenBLAS gives the same
+# bytes at any thread count, for every even 2N up to 2,100 (checked at 1 and
+# 2 threads); a whole-matrix product does not.
+_LOGIT_COLS = 128
+_GRAD_ROWS = 256
 
 
 def _ccl_loss_impl(batch: CCLBatch, cosine: bool, want_grad: bool):
@@ -115,10 +101,13 @@ def _ccl_loss_impl(batch: CCLBatch, cosine: bool, want_grad: bool):
         norms = np.maximum(np.linalg.norm(reps, axis=1, keepdims=True), 1e-12)
         h = reps / norms
     # One 2N x 2N buffer carries logits -> exp -> softmax -> logit gradient.
-    # `h @ h.T` (not a GEMM against a copy of h.T) lets BLAS use syrk, which
-    # gives exactly symmetric logits.
-    g = h @ h.T
-    g /= tau
+    # The logits h (h / tau)^T are GEMMs over column blocks; they need not be
+    # exactly symmetric, since the gradient sums both directions.
+    hs = h / tau
+    g = np.empty((two_n, two_n))
+    for c in range(0, two_n, _LOGIT_COLS):
+        cols = slice(c, c + _LOGIT_COLS)
+        np.matmul(h, hs[cols].T, out=g[:, cols])
     np.fill_diagonal(g, -np.inf)  # m != anchor index
     row_max = g.max(axis=1)
     rows = np.arange(two_n)
@@ -126,20 +115,23 @@ def _ccl_loss_impl(batch: CCLBatch, cosine: bool, want_grad: bool):
     # read the positive logit before exp so that a small tau cannot underflow it
     pos_shifted = g[rows, partner] - row_max
     g -= row_max[:, None]
-    np.exp(g, out=g)
+    np.exp(g, out=g)  # the diagonal is now exactly 0
     denom = g.sum(axis=1)
     losses = -pos_shifted + np.log(denom)
     loss = float(losses.sum() / two_n)
     if not want_grad:
         return loss, None
 
-    g /= denom[:, None]
-    g[rows, partner] -= 1.0
-    g /= two_n
-    np.fill_diagonal(g, 0.0)
-    g /= tau
-    _symmetrize_in_place(g)
-    grad_h = g @ h
+    # g <- dL/d(h_a . h_m) = (softmax - [m = partner]) / (2N tau)
+    scale = 1.0 / (two_n * tau)
+    g *= (scale / denom)[:, None]
+    g[rows, partner] -= scale
+    # (g + g^T) h as two products over fixed row chunks, summed in a fixed order
+    grad_h = np.zeros_like(h)
+    for k in range(0, two_n, _GRAD_ROWS):
+        ks = slice(k, k + _GRAD_ROWS)
+        grad_h += g[:, ks] @ h[ks]
+        grad_h += g[ks].T @ h[ks]
     if cosine:
         # chain through the row normalization
         inner = (grad_h * h).sum(axis=1, keepdims=True)

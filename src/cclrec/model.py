@@ -119,14 +119,6 @@ def per_sample_loss(y: np.ndarray, labels: np.ndarray, loss_kind: str = "log",
     return focal_loss_per_sample(y, labels, gamma)
 
 
-def log_loss(y: np.ndarray, labels: np.ndarray) -> float:
-    return float(log_loss_per_sample(y, labels).mean())
-
-
-def focal_loss(y: np.ndarray, labels: np.ndarray, gamma: float) -> float:
-    return float(per_sample_loss(y, labels, "focal", gamma).mean())
-
-
 def rec_weights(objective: str, propensities: np.ndarray | None, batch_size: int) -> np.ndarray:
     """Per-sample weights w_k so the rec objective is sum_k w_k * delta_k.
 

@@ -1,9 +1,10 @@
 """Training loop: multi-task objective L = L_rec + lambda * L_ccl.
 
-Fully seeded and bit-reproducible. Supports plain log-loss,
-focal, IPS and SNIPS rating objectives, the three contrastive samplers,
-joint multi-task training and a pretrain-then-finetune mode, and early
-stopping on validation total loss.
+Fully seeded and bit-reproducible: a run saves the same bytes on a rerun
+and at any BLAS thread count (tests/test_blas_threads.py runs one at 1 and
+at 2 OpenBLAS threads). Supports plain log-loss, focal, IPS and SNIPS rating
+objectives, the three contrastive samplers, joint multi-task training and a
+pretrain-then-finetune mode, and early stopping on validation total loss.
 """
 
 from __future__ import annotations
@@ -255,10 +256,16 @@ def _validation_loss(params, config, val_part: InteractionTable, lam_ccl, sample
                             config.focal_gamma).mean()
     if lam_ccl <= 0:
         return float(rec)
+    # one sampler call keeps the val_rng stream; the contrastive term is scored
+    # in chunks of batch_size pairs, like training, and weighted by row count
     pos = sampler(val_part.users, val_part.items, val_rng)
     reps = C.assemble_views(params, val_part.users, val_part.items, pos)
-    cclv = C.ccl_loss(C.CCLBatch(reps, config.tau), cosine=config.cosine)
-    return float(rec + lam_ccl * cclv)
+    rows = 2 * config.batch_size
+    cclv = 0.0
+    for lo in range(0, len(reps), rows):
+        chunk = reps[lo:lo + rows]
+        cclv += len(chunk) * C.ccl_loss(C.CCLBatch(chunk, config.tau), cosine=config.cosine)
+    return float(rec + lam_ccl * cclv / len(reps))
 
 
 def _run_arms(bundle: DatasetBundle, config: TrainConfig, arms, seeds: list[int]) -> list[dict]:

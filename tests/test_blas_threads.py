@@ -1,0 +1,71 @@
+"""Runs give the same bytes at any BLAS thread count.
+
+Each case runs the same script in two fresh interpreters, one with
+OPENBLAS_NUM_THREADS=1 and one with =2 (the variable is read when numpy
+loads, so it cannot change inside one process), and compares the SHA-256
+of what the script computed. On a one-core machine OpenBLAS caps the count
+at 1 and the case cannot fail.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import cclrec
+
+SRC = str(Path(cclrec.__file__).resolve().parent.parent)
+
+KERNEL_SCRIPT = """
+import hashlib
+import numpy as np
+from cclrec import contrastive as C
+
+digest = hashlib.sha256()
+for two_n in (2, 130, 592, 976, 1024, 2000, 2098):
+    reps = np.random.default_rng(two_n).normal(scale=0.3, size=(two_n, 16))
+    for cosine in (False, True):
+        loss, grad = C.ccl_loss_and_grad(C.CCLBatch(reps, 0.5), cosine=cosine)
+        value = C.ccl_loss(C.CCLBatch(reps, 0.5), cosine=cosine)
+        digest.update(np.float64(loss).tobytes() + np.float64(value).tobytes() + grad.tobytes())
+print(digest.hexdigest())
+"""
+
+# 900 training pairs in batches of 296: 2N = 592 per full batch, and a
+# partial last batch of 12 pairs
+TRAIN_SCRIPT = """
+import hashlib, sys
+from cclrec import model as M
+from cclrec.simulate import SimConfig, generate
+from cclrec.training import TrainConfig, train
+
+bundle = generate(SimConfig(m=100, n=40, exposures_per_user=10, test_exposures_per_user=2, seed=3),
+                  inclusion_draws=5).dataset
+for cosine in (False, True):
+    params, _ = train(bundle, TrainConfig(lam=1.0, tau=0.5, batch_size=296, embed_dim=8,
+                                          max_epochs=3, patience=10, cosine=cosine, seed=0))
+    path = sys.argv[1] + f"/cosine{int(cosine)}.bin"
+    M.save_checkpoint(path, params)
+    with open(path, "rb") as f:
+        print(hashlib.sha256(f.read()).hexdigest())
+"""
+
+
+def run_at(threads: int, script: str, *args: str) -> str:
+    env = {k: v for k, v in os.environ.items() if k not in ("OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["OPENBLAS_NUM_THREADS"] = str(threads)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_kernel_bytes_do_not_depend_on_thread_count():
+    assert run_at(1, KERNEL_SCRIPT) == run_at(2, KERNEL_SCRIPT)
+
+
+def test_ccl_checkpoint_bytes_do_not_depend_on_thread_count(tmp_path):
+    hashes = run_at(1, TRAIN_SCRIPT, str(tmp_path))
+    assert len(hashes.split()) == 2  # cosine off and on
+    assert hashes == run_at(2, TRAIN_SCRIPT, str(tmp_path))

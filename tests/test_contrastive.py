@@ -39,7 +39,7 @@ def brute_force_loss(reps, tau, cosine=False):
 def reference_loss_and_grad(reps, tau, cosine, want_grad):
     """Straightforward kernel with one fresh 2N x 2N array per step.
 
-    The in-place kernel must reproduce it bit for bit.
+    The blocked in-place kernel must agree with it to KERNEL_RTOL.
     """
     two_n = reps.shape[0]
     h = reps
@@ -206,6 +206,13 @@ class TestCCLLoss:
                 assert grad[r, c] == pytest.approx(num, abs=1e-6)
 
 
+# The kernel's blocked GEMMs round differently from the reference's
+# whole-matrix products; measured differences stay below 1e-14 relative to
+# the loss and to the largest gradient entry. An entry that is a near-total
+# cancellation can differ by more relative to itself, hence the atol.
+KERNEL_RTOL = 1e-12
+
+
 class TestCCLKernelMatchesReference:
     @staticmethod
     def check(reps, tau, cosine, want_grad):
@@ -216,15 +223,16 @@ class TestCCLKernelMatchesReference:
         else:
             loss, grad = ccl_loss(batch, cosine=cosine), None
         ref_loss, ref_grad = reference_loss_and_grad(before.copy(), tau, cosine, want_grad)
-        assert loss == ref_loss
+        assert loss == pytest.approx(ref_loss, rel=KERNEL_RTOL, abs=0)
         if want_grad:
-            assert np.array_equal(grad, ref_grad)
+            np.testing.assert_allclose(grad, ref_grad, rtol=KERNEL_RTOL,
+                                       atol=KERNEL_RTOL * np.abs(ref_grad).max())
         assert np.array_equal(reps, before)  # the caller's views are not written
         return loss, grad
 
-    # 130 and 2000 are not multiples of the 128-row symmetrization tile
-    @pytest.mark.parametrize("two_n", [2, 8, 130, 1024, 2000])
-    @pytest.mark.parametrize("tau", [1.0, 0.05])
+    # 130, 592 and 2000 are not multiples of the kernel's 128 / 256 blocks
+    @pytest.mark.parametrize("two_n", [2, 8, 130, 592, 1024, 2000])
+    @pytest.mark.parametrize("tau", [1.0, 0.05, 0.01])
     @pytest.mark.parametrize("cosine", [False, True])
     @pytest.mark.parametrize("want_grad", [False, True])
     def test_bit_identical(self, two_n, tau, cosine, want_grad):

@@ -70,36 +70,41 @@ class TestForward:
         assert ((out.y > 0) & (out.y < 1)).all()
 
 
+def mean_loss(y, labels, kind="log", gamma=0.0):
+    """The batch-mean rating loss, as the validation loss computes it."""
+    return M.per_sample_loss(np.asarray(y), np.asarray(labels), kind, gamma).mean()
+
+
 class TestLosses:
     def test_log_loss_half(self):
-        assert M.log_loss(np.array([0.5]), np.array([1])) == pytest.approx(np.log(2), abs=1e-9)
+        assert mean_loss([0.5], [1]) == pytest.approx(np.log(2), abs=1e-9)
 
     def test_log_loss_limit(self):
-        assert M.log_loss(np.array([1 - 1e-9]), np.array([1])) < 1e-6
+        assert mean_loss([1 - 1e-9], [1]) < 1e-6
 
     def test_log_loss_symmetry_at_half(self):
-        a = M.log_loss(np.array([0.5]), np.array([0]))
-        b = M.log_loss(np.array([0.5]), np.array([1]))
+        a = mean_loss([0.5], [0])
+        b = mean_loss([0.5], [1])
         assert a == pytest.approx(b)
 
     def test_focal_reduces_to_log(self):
         rng = np.random.default_rng(0)
         y = rng.uniform(0.05, 0.95, 20)
         labels = rng.integers(0, 2, 20)
-        assert M.focal_loss(y, labels, 0.0) == pytest.approx(M.log_loss(y, labels), abs=1e-12)
+        assert mean_loss(y, labels, "focal", 0.0) == pytest.approx(mean_loss(y, labels), abs=1e-12)
 
     def test_focal_hand_value(self):
-        got = M.focal_loss(np.array([0.5]), np.array([1]), gamma=2.0)
+        got = mean_loss([0.5], [1], "focal", gamma=2.0)
         assert got == pytest.approx(0.25 * np.log(2), abs=1e-9)
 
     def test_focal_downweights_easy_samples(self):
-        easy = M.focal_loss(np.array([0.9]), np.array([1]), 2.0) / M.log_loss(np.array([0.9]), np.array([1]))
-        hard = M.focal_loss(np.array([0.1]), np.array([1]), 2.0) / M.log_loss(np.array([0.1]), np.array([1]))
+        easy = mean_loss([0.9], [1], "focal", 2.0) / mean_loss([0.9], [1])
+        hard = mean_loss([0.1], [1], "focal", 2.0) / mean_loss([0.1], [1])
         assert easy < hard
 
     def test_focal_negative_gamma(self):
         with pytest.raises(ValueError):
-            M.focal_loss(np.array([0.5]), np.array([1]), -1.0)
+            mean_loss([0.5], [1], "focal", -1.0)
 
 
 class TestIPSAndSNIPS:
@@ -157,7 +162,7 @@ class TestRecWeights:
         assert M.per_sample_loss(y, labels).tolist() == M.log_loss_per_sample(y, labels).tolist()
         assert M.per_sample_loss(y, labels, "focal", 2.0).tolist() == \
             M.focal_loss_per_sample(y, labels, 2.0).tolist()
-        assert M.log_loss(y, labels) == float(M.log_loss_per_sample(y, labels).mean())
+        assert M.per_sample_loss(y, labels).mean() == float(M.log_loss_per_sample(y, labels).mean())
         with pytest.raises(ValueError, match="unknown loss kind"):
             M.per_sample_loss(y, labels, "ips")
 

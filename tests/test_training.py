@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from cclrec import contrastive as C
 from cclrec import model as M
 from cclrec.contrastive import CCLBatch, assemble_views, ccl_loss
 from cclrec.data import DatasetBundle, ExposureMatrix, InteractionTable
 from cclrec.metrics import MetricsReport
 from cclrec.training import (
     TrainConfig,
+    _validation_loss,
     batch_objective,
     run_ablation,
     run_sampler_sweep,
@@ -109,6 +111,59 @@ class TestBatchObjective:
             params, np.array([0]), np.array([1]), np.array([1.0]),
             np.array([1.0]), lam=0.0, tau=1.0, pos_items=np.array([2]))
         assert cclv == 0.0 and total == rec
+
+
+class TestValidationLoss:
+    """The validation CCL is scored in chunks of batch_size pairs."""
+
+    @staticmethod
+    def setting(n_val, batch_size, cosine=False):
+        b = toy_bundle(m=20, n=12, per_user=6, seed=4)
+        val = b.train.subset(np.arange(n_val))
+        cfg = TrainConfig(lam=0.7, tau=0.4, batch_size=batch_size, embed_dim=4, cosine=cosine)
+        params = M.init_params(b.m, b.n, cfg.embed_dim, cfg.hidden_layers, np.random.default_rng(0))
+        return params, cfg, val, C.make_sampler("cf", b)
+
+    @staticmethod
+    def per_chunk_loop(params, cfg, val, sampler, rng):
+        rec = M.per_sample_loss(M.forward(params, val.users, val.items).y, val.labels).mean()
+        pos = sampler(val.users, val.items, rng)
+        total, rows = 0.0, 0
+        for lo in range(0, len(val), cfg.batch_size):
+            sl = slice(lo, lo + cfg.batch_size)
+            reps = assemble_views(params, val.users[sl], val.items[sl], pos[sl])
+            total += len(reps) * ccl_loss(CCLBatch(reps, cfg.tau), cosine=cfg.cosine)
+            rows += len(reps)
+        return float(rec + cfg.lam * total / rows)
+
+    # 120 = 3 x 40; 81 leaves a last chunk of one pair; 7 is one partial chunk
+    @pytest.mark.parametrize("n_val,batch_size", [(120, 40), (81, 40), (7, 16), (5, 1)])
+    @pytest.mark.parametrize("cosine", [False, True])
+    def test_equals_per_chunk_loop(self, n_val, batch_size, cosine):
+        params, cfg, val, sampler = self.setting(n_val, batch_size, cosine)
+        got = _validation_loss(params, cfg, val, cfg.lam, sampler, np.random.default_rng(9))
+        want = self.per_chunk_loop(params, cfg, val, sampler, np.random.default_rng(9))
+        assert got == want
+
+    def test_chunks_hold_at_most_batch_size_pairs(self, monkeypatch):
+        params, cfg, val, sampler = self.setting(81, 40)
+        seen = []
+        original = C.ccl_loss
+
+        def recording(batch, *args, **kwargs):
+            seen.append(batch.representations.shape[0])
+            return original(batch, *args, **kwargs)
+
+        monkeypatch.setattr(C, "ccl_loss", recording)
+        _validation_loss(params, cfg, val, cfg.lam, sampler, np.random.default_rng(9))
+        assert seen == [80, 80, 2]  # the last chunk is exactly one pair
+
+    def test_draws_positives_with_one_sampler_call(self):
+        params, cfg, val, sampler = self.setting(81, 40)
+        rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+        _validation_loss(params, cfg, val, cfg.lam, sampler, rng)
+        sampler(val.users, val.items, ref)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestTrain:
