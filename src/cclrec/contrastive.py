@@ -7,6 +7,8 @@ anchor's user and swaps in an item chosen by one of three samplers:
   * cf  - uniform over the user's unexposed items (random counterfactual);
   * ps  - item with the largest propensity difference from the anchor item;
   * pop - item with the largest popularity difference from the anchor item.
+
+ps and pop are array argmaxes over fixed-size row chunks; cf draws pair by pair.
 """
 
 from __future__ import annotations
@@ -49,20 +51,33 @@ def sample_random_counterfactual(bundle: DatasetBundle, user: int, item: int,
     return int(candidates[rng.integers(0, len(candidates))])
 
 
-def sample_propensity_difference(propensities: PropensityTable, user: int, item: int) -> int:
-    """Item maximizing |P_{u,i'} - P_{u,item}| over i' != item; lowest index wins ties."""
-    row = propensities.row(user)
-    diff = np.abs(row - row[item])
-    diff[item] = -np.inf
-    return int(np.argmax(diff))
+_SAMPLER_ROWS = 512  # rows per chunk of the ps and pop samplers
 
 
-def sample_popularity_difference(popularity: PopularityTable, item: int) -> int:
-    """Item maximizing |pop(i') - pop(item)| over i' != item; lowest index wins ties."""
+def _farthest(values_of, anchors) -> np.ndarray:
+    """Per row k, argmax over j != anchors[k] of |v[k, j] - v[k, anchors[k]]|, lowest
+    index winning ties; v = values_of(rows) holds one fixed-size chunk of rows."""
+    anchors = np.asarray(anchors, dtype=np.int64)
+    out = np.empty(len(anchors), dtype=np.int64)
+    for lo in range(0, len(anchors), _SAMPLER_ROWS):
+        rows = slice(lo, lo + _SAMPLER_ROWS)
+        values, anchor = values_of(rows), anchors[rows]
+        k = np.arange(len(anchor))
+        diff = np.abs(values - values[k, anchor][:, None])
+        diff[k, anchor] = -np.inf
+        out[rows] = diff.argmax(axis=1)
+    return out
+
+
+def sample_propensity_difference(propensities: PropensityTable, users, items) -> np.ndarray:
+    """Per pair, the item maximizing |P_{u,i'} - P_{u,item}| over i' != item."""
+    return _farthest(lambda rows: propensities.rows(users[rows]), items)
+
+
+def sample_popularity_difference(popularity: PopularityTable, items) -> np.ndarray:
+    """Per anchor, the item maximizing |pop(i') - pop(item)| over i' != item."""
     pop = popularity.values
-    diff = np.abs(pop - pop[item])
-    diff[item] = -np.inf
-    return int(np.argmax(diff))
+    return _farthest(lambda rows: np.broadcast_to(pop, (len(items[rows]), len(pop))), items)
 
 
 def ccl_loss(batch: CCLBatch, cosine: bool = False) -> float:
@@ -144,8 +159,9 @@ def make_sampler(kind: str, bundle: DatasetBundle,
                  popularity: PopularityTable | None = None):
     """The positive sampler of one run: ``sample(users, items, rng)`` -> positive items.
 
-    Checks the kind and its table once; each positive is one call of the
-    per-sample function above, looked up by its module-global name.
+    Checks the kind and its table once. ps is one array call per batch; a pop
+    positive depends only on its anchor, so pop indexes an n-entry table made
+    here; cf is one call per pair. Each is looked up by its module-global name.
     """
     if kind not in SAMPLER_KINDS:
         raise ValueError(f"sampler must be one of {SAMPLER_KINDS}, got {kind!r}")
@@ -153,15 +169,17 @@ def make_sampler(kind: str, bundle: DatasetBundle,
         raise ValueError("ps sampler needs a propensity table")
     if kind == "pop" and popularity is None:
         raise ValueError("pop sampler needs a popularity table")
-    draw = {"cf": lambda u, i, rng: sample_random_counterfactual(bundle, u, i, rng),
-            "ps": lambda u, i, rng: sample_propensity_difference(propensities, u, i),
-            "pop": lambda u, i, rng: sample_popularity_difference(popularity, i)}[kind]
+    if kind == "ps":
+        return lambda users, items, rng=None: sample_propensity_difference(propensities, users, items)
+    if kind == "pop":
+        table = sample_popularity_difference(popularity, np.arange(len(popularity.values)))
+        return lambda users, items, rng=None: table[items]
 
     def sample(users: np.ndarray, items: np.ndarray, rng: np.random.Generator | None = None):
-        if kind == "cf" and rng is None:
+        if rng is None:
             raise ValueError("cf sampler needs an explicit rng")
-        return np.array([draw(u, i, rng) for u, i in zip(users.tolist(), items.tolist())],
-                        dtype=np.int64)
+        return np.array([sample_random_counterfactual(bundle, u, i, rng)
+                         for u, i in zip(users.tolist(), items.tolist())], dtype=np.int64)
 
     return sample
 

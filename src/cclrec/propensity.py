@@ -94,17 +94,24 @@ class PropensityTable:
         p0, p1 = self.class_probs
         return np.where(np.asarray(labels) == 1, p1, p0)
 
-    def row(self, user: int) -> np.ndarray:
-        """Length-n propensity vector for one user (sampler input)."""
+    def rows(self, users) -> np.ndarray:
+        """len(users) x n propensity matrix (sampler input)."""
+        users = np.asarray(users, dtype=np.int64)
+        if len(users) and (users.min() < 0 or users.max() >= self.m):
+            raise IndexError(f"user id out of range [0, {self.m})")
         if self.kind == "dense":
-            return self.dense[user]
-        out = np.full(self.n, self.marginal)
+            return self.dense[users]
+        out = np.full((len(users), self.n), self.marginal)
         if self._label_grid is not None:
-            lab = self._label_grid[user]
+            lab = self._label_grid[users]
             p0, p1 = self.class_probs
             out[lab == 0] = p0
             out[lab == 1] = p1
         return out
+
+    def row(self, user: int) -> np.ndarray:
+        """Length-n propensity vector for one user."""
+        return self.rows([user])[0]
 
 
 def clip_propensity(table: PropensityTable, floor: float) -> PropensityTable:

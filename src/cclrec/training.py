@@ -108,7 +108,7 @@ class TrainReport:
     best_epoch: int = -1
     epochs_run: int = 0
     wall_clock: float = 0.0
-    sampler_calls: int = 0
+    sampler_calls: int = 0  # training rows given a positive, not calls of the sampler
 
 
 def batch_objective(params: M.ModelParams, users: np.ndarray, items: np.ndarray,

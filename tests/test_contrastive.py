@@ -1,6 +1,11 @@
+from dataclasses import asdict
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cclrec import contrastive as C
 from cclrec.contrastive import (
     CCLBatch,
     assemble_views,
@@ -15,7 +20,58 @@ from cclrec.contrastive import (
 )
 from cclrec.data import DatasetBundle, ExposureMatrix, InteractionTable
 from cclrec.model import GradientSet, init_params
-from cclrec.propensity import PopularityTable, PropensityTable
+from cclrec.propensity import (
+    PopularityTable,
+    PropensityTable,
+    estimate_popularity,
+    estimate_propensity_nb,
+)
+from cclrec.simulate import SimConfig, generate
+from cclrec.training import TrainConfig, train
+
+
+# Per-row ps and pop samplers, one call per positive: the oracle for the
+# batched samplers.
+def reference_row(table, user):
+    """Length-n propensity vector of one user, built without PropensityTable.rows."""
+    if table.kind == "dense":
+        return table.dense[user]
+    out = np.full(table.n, table.marginal)
+    if table._label_grid is not None:
+        lab = table._label_grid[user]
+        p0, p1 = table.class_probs
+        out[lab == 0] = p0
+        out[lab == 1] = p1
+    return out
+
+
+def ps_reference(propensities, user, item):
+    """Item maximizing |P_{u,i'} - P_{u,item}| over i' != item; lowest index wins ties."""
+    row = reference_row(propensities, user)
+    diff = np.abs(row - row[item])
+    diff[item] = -np.inf
+    return int(np.argmax(diff))
+
+
+def pop_reference(popularity, item):
+    """Item maximizing |pop(i') - pop(item)| over i' != item; lowest index wins ties."""
+    pop = popularity.values
+    diff = np.abs(pop - pop[item])
+    diff[item] = -np.inf
+    return int(np.argmax(diff))
+
+
+def reference_sampler(kind, bundle, propensities=None, popularity=None):
+    """make_sampler with one per-row call per positive."""
+    draw = {"cf": lambda u, i, rng: sample_random_counterfactual(bundle, u, i, rng),
+            "ps": lambda u, i, rng: ps_reference(propensities, u, i),
+            "pop": lambda u, i, rng: pop_reference(popularity, i)}[kind]
+
+    def sample(users, items, rng=None):
+        return np.array([draw(u, i, rng) for u, i in zip(users.tolist(), items.tolist())],
+                        dtype=np.int64)
+
+    return sample
 
 
 def brute_force_loss(reps, tau, cosine=False):
@@ -119,26 +175,122 @@ class TestPropensityDifference:
         return PropensityTable(1, len(row), 1e-6, dense=np.array([row]))
 
     def test_largest_absolute_gap(self):
-        assert sample_propensity_difference(self.table([0.9, 0.5, 0.2]), 0, 1) == 0
+        assert sample_propensity_difference(self.table([0.9, 0.5, 0.2]), [0], [1]).tolist() == [0]
 
     def test_tie_goes_to_lowest_index(self):
-        assert sample_propensity_difference(self.table([0.9, 0.5, 0.1]), 0, 1) == 0
+        assert sample_propensity_difference(self.table([0.9, 0.5, 0.1]), [0], [1]).tolist() == [0]
 
     def test_never_anchor(self):
         t = self.table([0.5, 0.5, 0.5])
         for anchor in range(3):
-            assert sample_propensity_difference(t, 0, anchor) != anchor
+            assert sample_propensity_difference(t, [0], [anchor])[0] != anchor
+
+    def test_empty_batch(self):
+        out = sample_propensity_difference(self.table([0.5, 0.1]), [], [])
+        assert out.dtype == np.int64 and out.shape == (0,)
 
 
 class TestPopularityDifference:
     def test_largest_absolute_gap(self):
         pop = PopularityTable(np.array([1.0, 0.70710678, 0.5]))
-        assert sample_popularity_difference(pop, 1) == 0
+        assert sample_popularity_difference(pop, [1]).tolist() == [0]
 
     def test_total_tie_lowest_index(self):
         pop = PopularityTable(np.ones(4))
-        assert sample_popularity_difference(pop, 0) == 1
-        assert sample_popularity_difference(pop, 2) == 0
+        assert sample_popularity_difference(pop, [0, 2]).tolist() == [1, 0]
+
+
+LEVELS = (0.1, 0.5, 0.9)
+
+
+@st.composite
+def ps_pop_cases(draw):
+    """A propensity table and a popularity vector over values from 2-3 levels,
+    plus a batch whose anchors are often at their row's maximum or minimum."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    levels = draw(st.lists(st.sampled_from(LEVELS), min_size=2, max_size=3, unique=True))
+    value = st.sampled_from(levels)
+    kind = draw(st.sampled_from(["dense", "per-class", "per-class + grid"]))
+    if kind == "dense":
+        dense = np.array(draw(st.lists(value, min_size=m * n, max_size=m * n))).reshape(m, n)
+        table = PropensityTable(m, n, 1e-6, dense=dense)
+    else:
+        table = PropensityTable(m, n, 1e-6, class_probs=(draw(value), draw(value)),
+                                marginal=draw(value))
+        if kind == "per-class + grid":
+            grid = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=m * n, max_size=m * n))
+            table._label_grid = np.array(grid, dtype=np.int8).reshape(m, n)
+    pop = PopularityTable(np.array(draw(st.lists(value, min_size=n, max_size=n))))
+    users, items = [], []
+    for _ in range(draw(st.integers(0, 20))):
+        u = draw(st.integers(0, m - 1))
+        row = reference_row(table, u)
+        where = draw(st.sampled_from(["any", "max", "min"]))
+        picks = {"any": np.arange(n), "max": np.flatnonzero(row == row.max()),
+                 "min": np.flatnonzero(row == row.min())}[where]
+        users.append(u)
+        items.append(int(draw(st.sampled_from(picks.tolist()))))
+    return table, pop, np.array(users, dtype=np.int64), np.array(items, dtype=np.int64)
+
+
+class TestBatchedSamplersMatchPerRowReference:
+    @settings(max_examples=300, deadline=None)
+    @given(case=ps_pop_cases(), chunk=st.integers(1, 7))
+    def test_equal_to_per_row_oracle(self, case, chunk):
+        table, pop, users, items = case
+        want_ps = np.array([ps_reference(table, u, i) for u, i in zip(users, items)], dtype=np.int64)
+        want_pop = np.array([pop_reference(pop, i) for i in items], dtype=np.int64)
+        bundle = make_bundle(table.m, table.n, [(0, 0)])
+        with mock.patch.object(C, "_SAMPLER_ROWS", chunk):
+            got_ps = sample_propensity_difference(table, users, items)
+            got_pop = sample_popularity_difference(pop, items)
+            made_ps = make_sampler("ps", bundle, propensities=table)(users, items)
+            made_pop = make_sampler("pop", bundle, popularity=pop)(users, items)
+        for got, want in ((got_ps, want_ps), (made_ps, want_ps),
+                          (got_pop, want_pop), (made_pop, want_pop)):
+            assert got.dtype == np.int64 and got.shape == want.shape
+            assert (got == want).all()
+
+    def test_chunks_bound_the_rows_held(self):
+        table = PropensityTable(3, 5, 1e-6, dense=np.random.default_rng(0).uniform(0.1, 1, (3, 5)))
+        users = np.arange(11) % 3
+        items = np.arange(11) % 5
+        seen = []
+        rows = table.rows
+        with mock.patch.object(C, "_SAMPLER_ROWS", 4), \
+                mock.patch.object(table, "rows", lambda u: seen.append(len(u)) or rows(u)):
+            got = sample_propensity_difference(table, users, items)
+        assert seen == [4, 4, 3]
+        assert got.tolist() == [ps_reference(table, u, i) for u, i in zip(users, items)]
+
+
+class TestBatchedSamplersTrainIdentically:
+    """ps and pop training runs equal the same runs with the per-row sampler."""
+
+    @pytest.fixture(scope="class")
+    def setting(self):
+        bundle = generate(SimConfig(m=40, n=20, exposures_per_user=6,
+                                    test_exposures_per_user=4, seed=3),
+                          inclusion_draws=20).dataset
+        props = estimate_propensity_nb(bundle.train, bundle.test, bundle.m, bundle.n)
+        return bundle, props, estimate_popularity(bundle)
+
+    @pytest.mark.parametrize("sampler", ["ps", "pop"])
+    @pytest.mark.parametrize("chunk", [7, 512])
+    def test_same_bytes_as_per_row_sampler(self, setting, sampler, chunk):
+        bundle, props, pop = setting
+        cfg = TrainConfig(lam=0.5, sampler=sampler, max_epochs=4, batch_size=64,
+                          embed_dim=4, patience=10, seed=2)
+        with mock.patch.object(C, "_SAMPLER_ROWS", chunk):
+            params, report = train(bundle, cfg, propensity=props, popularity=pop)
+        with mock.patch.object(C, "make_sampler", reference_sampler):
+            ref_params, ref_report = train(bundle, cfg, propensity=props, popularity=pop)
+        assert [a.tobytes() for a in params.flat_arrays()] == \
+            [a.tobytes() for a in ref_params.flat_arrays()]
+        got, want = asdict(report), asdict(ref_report)
+        del got["wall_clock"], want["wall_clock"]  # the one field that is a timing
+        assert got == want
+        assert report.sampler_calls == 4 * (len(bundle.train) - round(0.1 * len(bundle.train)))
 
 
 class TestCCLLoss:
@@ -322,10 +474,10 @@ class TestMakeSampler:
         want = [sample_random_counterfactual(b, u, i, rng) for u, i in zip(users, items)]
         assert got.dtype == np.int64 and got.tolist() == want
         got = make_sampler("ps", b, propensities=props)(users, items)
-        assert got.tolist() == [sample_propensity_difference(props, u, i)
-                                for u, i in zip(users, items)]
+        assert got.dtype == np.int64 and got.tolist() == [ps_reference(props, u, i)
+                                                          for u, i in zip(users, items)]
         got = make_sampler("pop", b, popularity=pop)(users, items)
-        assert got.tolist() == [sample_popularity_difference(pop, i) for i in items]
+        assert got.dtype == np.int64 and got.tolist() == [pop_reference(pop, i) for i in items]
 
     @pytest.mark.parametrize("kind,match", [("nope", "sampler must be"),
                                             ("ps", "propensity table"),
@@ -335,9 +487,12 @@ class TestMakeSampler:
             make_sampler(kind, setting[0])
 
     def test_empty_batch(self, setting):
+        b, props, pop = setting
         empty = np.array([], dtype=np.int64)
-        out = make_sampler("cf", setting[0])(empty, empty, np.random.default_rng(0))
-        assert out.dtype == np.int64 and out.shape == (0,)
+        for out in (make_sampler("cf", b)(empty, empty, np.random.default_rng(0)),
+                    make_sampler("ps", b, propensities=props)(empty, empty),
+                    make_sampler("pop", b, popularity=pop)(empty, empty)):
+            assert out.dtype == np.int64 and out.shape == (0,)
 
 
 class TestScatterViewGrads:

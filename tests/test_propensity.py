@@ -146,6 +146,37 @@ class TestNaiveBayes:
         row = table.row(0)
         assert row[2] == table.marginal  # unlabeled pair gets the marginal
 
+    def test_rows_stack_the_rows_of_each_user(self):
+        train = InteractionTable.from_lists([0, 0, 1], [0, 1, 2], [5, 1, 5])
+        table = estimate_propensity_nb(train, train, m=2, n=3)
+        got = table.rows([1, 0, 1])
+        assert got.shape == (3, 3)
+        assert [r.tolist() for r in got] == [table.row(u).tolist() for u in (1, 0, 1)]
+        assert table.rows([]).shape == (0, 3)
+
+
+class TestRowsRejectUsersOutOfRange:
+    """row / rows raise IndexError outside [0, m) instead of wrapping negative ids."""
+
+    def tables(self):
+        train = InteractionTable.from_lists([0, 1], [0, 1], [5, 1])
+        dense = PropensityTable(2, 3, 0.05, dense=np.full((2, 3), 0.5))
+        grid = estimate_propensity_nb(train, train, m=2, n=3)
+        plain = PropensityTable(2, 3, 0.05, class_probs=(0.2, 0.4), marginal=0.3)
+        return dense, grid, plain
+
+    @pytest.mark.parametrize("user", [-1, -2, 2, 7])
+    def test_row(self, user):
+        for table in self.tables():
+            with pytest.raises(IndexError, match="out of range"):
+                table.row(user)
+
+    @pytest.mark.parametrize("users", [[0, -1], [2], [1, 0, 3]])
+    def test_rows(self, users):
+        for table in self.tables():
+            with pytest.raises(IndexError, match="out of range"):
+                table.rows(users)
+
 
 class TestLogisticRegression:
     def test_separable_toy(self):
