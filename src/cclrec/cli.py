@@ -182,7 +182,6 @@ def _add_train_args(p: argparse.ArgumentParser) -> None:
                    choices=["plain", "ips", "snips"], default=None)
     p.add_argument("--propensity-source", dest="propensity_source",
                    choices=["auto", "lr", "nb"], default=None)
-    p.add_argument("--mode", choices=["joint", "pretrain"], default=None)
     p.add_argument("--seeds", default="0", help="comma-separated seed list")
     p.add_argument("--out", required=True)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cclrec.data import DatasetBundle, unexposed_items
-from cclrec.model import GradientSet, ModelParams
+from cclrec.model import ModelParams
 from cclrec.propensity import PopularityTable, PropensityTable
 
 SAMPLER_KINDS = ("cf", "ps", "pop")
@@ -217,7 +217,7 @@ def assemble_views(params: ModelParams, users: np.ndarray, items: np.ndarray,
 
 
 def scatter_view_grads(params: ModelParams, batch: CCLBatch, grad_reps: np.ndarray,
-                       grads: GradientSet, scale: float = 1.0) -> None:
+                       grads: ModelParams, scale: float = 1.0) -> None:
     """Accumulate representation gradients into embedding-row gradients."""
     d = params.d
     g = scale * grad_reps

@@ -6,8 +6,9 @@ Two on-disk formats are supported:
   * Triple-style: one "user item rating" line per interaction, separator
     auto-detected among tab / space / comma.
 
-All returned tables are immutable after construction and safe for
-concurrent reads.
+All returned tables are immutable after construction and safe for concurrent
+reads, except DatasetBundle._unexposed_cache: unexposed_items (the cf sampler)
+fills it per user on first use. It remains until ROADMAP.md item 3 removes it.
 """
 
 from __future__ import annotations

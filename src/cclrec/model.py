@@ -21,10 +21,10 @@ EPS_LOG = 1e-12
 
 @dataclass
 class ModelParams:
+    """Arrays shaped like the model: its parameters, their gradients, or Adam's moments."""
     user_embeddings: np.ndarray  # m x d
     item_embeddings: np.ndarray  # n x d
     layers: list[tuple[np.ndarray, np.ndarray]]  # (W in x out, b out), last out=1
-    activation: str = "relu"
 
     @property
     def d(self) -> int:
@@ -32,13 +32,24 @@ class ModelParams:
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.user_embeddings.copy(), self.item_embeddings.copy(),
-                           [(W.copy(), b.copy()) for W, b in self.layers], self.activation)
+                           [(W.copy(), b.copy()) for W, b in self.layers])
+
+    @staticmethod
+    def zeros_like(params: "ModelParams") -> "ModelParams":
+        return ModelParams(np.zeros_like(params.user_embeddings),
+                           np.zeros_like(params.item_embeddings),
+                           [(np.zeros_like(W), np.zeros_like(b)) for W, b in params.layers])
 
     def flat_arrays(self) -> list[np.ndarray]:
         out = [self.user_embeddings, self.item_embeddings]
         for W, b in self.layers:
             out.extend([W, b])
         return out
+
+    def assert_finite(self) -> None:
+        for a in self.flat_arrays():
+            if not np.isfinite(a).all():
+                raise FloatingPointError("non-finite gradient")
 
 
 def init_params(m: int, n: int, d: int, hidden_layers: int,
@@ -149,33 +160,9 @@ def snips_loss(per_sample_losses: np.ndarray, propensities: np.ndarray) -> float
     return float((weights * np.asarray(per_sample_losses)).sum())
 
 
-@dataclass
-class GradientSet:
-    user_embeddings: np.ndarray
-    item_embeddings: np.ndarray
-    layers: list[tuple[np.ndarray, np.ndarray]]
-
-    @staticmethod
-    def zeros_like(params: ModelParams) -> "GradientSet":
-        return GradientSet(np.zeros_like(params.user_embeddings),
-                           np.zeros_like(params.item_embeddings),
-                           [(np.zeros_like(W), np.zeros_like(b)) for W, b in params.layers])
-
-    def flat_arrays(self) -> list[np.ndarray]:
-        out = [self.user_embeddings, self.item_embeddings]
-        for W, b in self.layers:
-            out.extend([W, b])
-        return out
-
-    def assert_finite(self) -> None:
-        for a in self.flat_arrays():
-            if not np.isfinite(a).all():
-                raise FloatingPointError("non-finite gradient")
-
-
 def backward(params: ModelParams, batch: PredictionBatch, labels: np.ndarray,
              weights: np.ndarray, loss_kind: str = "log", gamma: float = 0.0,
-             grads: GradientSet | None = None) -> GradientSet:
+             grads: ModelParams | None = None) -> ModelParams:
     """Exact gradient of sum_k weights_k * delta(y_k, label_k) w.r.t. all params.
 
     Embedding rows not touched by the batch keep zero gradient. `grads`
@@ -198,7 +185,7 @@ def backward(params: ModelParams, batch: PredictionBatch, labels: np.ndarray,
     delta = (weights * dz)[:, None]  # B x 1, gradient at the output pre-activation
 
     if grads is None:
-        grads = GradientSet.zeros_like(params)
+        grads = ModelParams.zeros_like(params)
     for li in range(len(params.layers) - 1, -1, -1):
         W, _ = params.layers[li]
         gW, gb = grads.layers[li]
@@ -215,18 +202,18 @@ def backward(params: ModelParams, batch: PredictionBatch, labels: np.ndarray,
 
 @dataclass
 class AdamState:
-    m: GradientSet
-    v: GradientSet
-    scratch: tuple[GradientSet, GradientSet]  # reused by every step, so a step allocates nothing
+    m: ModelParams
+    v: ModelParams
+    scratch: tuple[ModelParams, ModelParams]  # reused by every step, so a step allocates nothing
     t: int = 0
 
     @staticmethod
     def for_params(params: ModelParams) -> "AdamState":
-        return AdamState(GradientSet.zeros_like(params), GradientSet.zeros_like(params),
-                         (GradientSet.zeros_like(params), GradientSet.zeros_like(params)))
+        return AdamState(ModelParams.zeros_like(params), ModelParams.zeros_like(params),
+                         (ModelParams.zeros_like(params), ModelParams.zeros_like(params)))
 
 
-def adam_step(params: ModelParams, grads: GradientSet, state: AdamState,
+def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
               lr: float, betas: tuple[float, float] = (0.9, 0.999),
               eps: float = 1e-8, weight_decay: float = 0.0) -> None:
     """One bias-corrected Adam step with decoupled weight decay (in place).
@@ -265,7 +252,7 @@ def save_checkpoint(path, params: ModelParams) -> None:
         "n": params.item_embeddings.shape[0],
         "d": params.d,
         "widths": [W.shape[1] for W, _ in params.layers],
-        "activation": params.activation,
+        "activation": "relu",
     }
     with open(path, "wb") as f:
         f.write((json.dumps(header, sort_keys=True) + "\n").encode())
@@ -294,4 +281,4 @@ def load_checkpoint(path) -> ModelParams:
                               f"its header needs {8 * sum(sizes)}")
     chunks = np.split(np.frombuffer(raw, dtype=np.float64), np.cumsum(sizes)[:-1])
     arrays = [chunk.reshape(shape).copy() for chunk, shape in zip(chunks, shapes)]
-    return ModelParams(arrays[0], arrays[1], list(zip(arrays[2::2], arrays[3::2])), activation)
+    return ModelParams(arrays[0], arrays[1], list(zip(arrays[2::2], arrays[3::2])))

@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from cclrec.data import DataFormatError, DatasetBundle, FeatureTable, InteractionTable
+from cclrec.data import DataFormatError, DatasetBundle, InteractionTable
 
 DEFAULT_FLOOR = 0.05
 POPULARITY_FLOOR = 1e-3
@@ -58,7 +58,7 @@ class PropensityTable:
                  dense: Optional[np.ndarray] = None,
                  class_probs: Optional[tuple[float, float]] = None,
                  marginal: Optional[float] = None,
-                 train_labels: Optional[InteractionTable] = None):
+                 label_grid: Optional[np.ndarray] = None):
         if (dense is None) == (class_probs is None):
             raise ValueError("exactly one of dense / class_probs must be given")
         self.m = m
@@ -73,12 +73,7 @@ class PropensityTable:
             self.class_probs = (min(max(class_probs[0], floor), 1.0),
                                 min(max(class_probs[1], floor), 1.0))
             self.marginal = min(max(marginal, floor), 1.0)
-            self._label_grid = None
-            if train_labels is not None:
-                grid = np.full((m, n), -1, dtype=np.int8)
-                grid[train_labels.users, train_labels.items] = train_labels.labels
-                grid.setflags(write=False)
-                self._label_grid = grid
+            self.label_grid = label_grid  # m x n int8: observed label, or -1
 
     def gather(self, users: np.ndarray, items: np.ndarray,
                labels: Optional[np.ndarray] = None) -> np.ndarray:
@@ -86,9 +81,9 @@ class PropensityTable:
         if self.kind == "dense":
             return self.dense[users, items]
         if labels is None:
-            if self._label_grid is None:
+            if self.label_grid is None:
                 raise ValueError("per-class table needs labels (none recorded)")
-            labels = self._label_grid[users, items]
+            labels = self.label_grid[users, items]
             if (labels < 0).any():
                 raise ValueError("pair without observed label; pass labels explicitly")
         p0, p1 = self.class_probs
@@ -102,8 +97,8 @@ class PropensityTable:
         if self.kind == "dense":
             return self.dense[users]
         out = np.full((len(users), self.n), self.marginal)
-        if self._label_grid is not None:
-            lab = self._label_grid[users]
+        if self.label_grid is not None:
+            lab = self.label_grid[users]
             p0, p1 = self.class_probs
             out[lab == 0] = p0
             out[lab == 1] = p1
@@ -120,10 +115,8 @@ def clip_propensity(table: PropensityTable, floor: float) -> PropensityTable:
         raise ValueError(f"floor must be in (0, 1), got {floor}")
     if table.kind == "dense":
         return PropensityTable(table.m, table.n, floor, dense=np.clip(table.dense, floor, 1.0))
-    out = PropensityTable(table.m, table.n, floor,
-                          class_probs=table.class_probs, marginal=table.marginal)
-    out._label_grid = table._label_grid
-    return out
+    return PropensityTable(table.m, table.n, floor, class_probs=table.class_probs,
+                           marginal=table.marginal, label_grid=table.label_grid)
 
 
 def estimate_propensity_nb(train: InteractionTable, mcar: InteractionTable,
@@ -143,8 +136,10 @@ def estimate_propensity_nb(train: InteractionTable, mcar: InteractionTable,
         raise ValueError("MCAR sample is missing one label class")
     p1 = p_y1_given_o * p_o / p_y1
     p0 = (1.0 - p_y1_given_o) * p_o / (1.0 - p_y1)
-    return PropensityTable(m, n, floor, class_probs=(p0, p1), marginal=p_o,
-                           train_labels=train)
+    grid = np.full((m, n), -1, dtype=np.int8)
+    grid[train.users, train.items] = train.labels
+    grid.setflags(write=False)
+    return PropensityTable(m, n, floor, class_probs=(p0, p1), marginal=p_o, label_grid=grid)
 
 
 @dataclass
@@ -218,7 +213,7 @@ def save_table(path, table) -> None:
     elif table.kind == "dense":
         header, values, grid = f"dense {table.m} {table.n} {table.floor}", table.dense, None
     else:
-        grid = table._label_grid
+        grid = table.label_grid
         header = f"per-class {table.m} {table.n} {table.floor} {int(grid is not None)}"
         values = np.array([*table.class_probs, table.marginal])
     with open(Path(path), "wb") as f:
@@ -247,8 +242,11 @@ def load_table(path):
         return PopularityTable(values)
     if kind == "dense":
         return PropensityTable(m, n, floor, dense=values.reshape(m, n))
-    table = PropensityTable(m, n, floor, class_probs=(values[0], values[1]), marginal=values[2])
+    grid = None
     if grid_bytes:
         # frombuffer over bytes is read-only, like the grid the estimator builds
-        table._label_grid = np.frombuffer(raw, dtype=np.int8, offset=24).reshape(m, n)
-    return table
+        grid = np.frombuffer(raw, dtype=np.int8, offset=24).reshape(m, n)
+        if ((grid < -1) | (grid > 1)).any():
+            raise DataFormatError(f"{path}: label grid holds a byte outside {{-1, 0, 1}}")
+    return PropensityTable(m, n, floor, class_probs=(values[0], values[1]),
+                           marginal=values[2], label_grid=grid)

@@ -3,8 +3,8 @@
 Fully seeded and bit-reproducible: a run saves the same bytes on a rerun
 and at any BLAS thread count (tests/test_blas_threads.py runs one at 1 and
 at 2 OpenBLAS threads). Supports plain log-loss, focal, IPS and SNIPS rating
-objectives, the three contrastive samplers, joint multi-task training and a
-pretrain-then-finetune mode, and early stopping on validation total loss.
+objectives, the three contrastive samplers, and early stopping on validation
+total loss.
 """
 
 from __future__ import annotations
@@ -50,8 +50,6 @@ class TrainConfig:
     propensity_source: str = "auto"  # auto | lr | nb | oracle
     cosine: bool = False
     val_fraction: float = 0.1
-    mode: str = "joint"  # joint | pretrain
-    pretrain_epochs: int = 20
 
     def validate(self) -> None:
         if self.lam < 0:
@@ -64,6 +62,12 @@ class TrainConfig:
             raise ValueError(f"unknown loss kind {self.loss_kind!r}")
         if self.rec_objective not in ("plain", "ips", "snips"):
             raise ValueError(f"unknown rec objective {self.rec_objective!r}")
+        if self.propensity_source not in ("auto", "lr", "nb", "oracle"):
+            raise ValueError(f"unknown propensity source {self.propensity_source!r}")
+        for name, least in (("batch_size", 1), ("embed_dim", 1), ("hidden_layers", 0),
+                            ("max_epochs", 0), ("patience", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if not (0 <= self.val_fraction < 1):
             raise ValueError("val_fraction must be in [0, 1)")
 
@@ -183,78 +187,69 @@ def train(bundle: DatasetBundle, config: TrainConfig,
 
     val_rng = np.random.default_rng(config.seed + 2)
     best_params = params.copy()
-    # (epochs, rec scale, contrastive weight, early stopping) per stage;
-    # pretraining runs the contrastive term alone, then fine-tunes on L_rec.
-    if config.mode == "pretrain" and config.lam > 0:
-        stages = [(config.pretrain_epochs, 0.0, config.lam, False),
-                  (config.max_epochs, 1.0, 0.0, True)]
-    else:
-        stages = [(config.max_epochs, 1.0, config.lam, True)]
+    best_val, best_epoch, since_best = np.inf, -1, 0
     k_train = len(train_part)
 
-    for n_epochs, rec_scale, lam, early_stop in stages:
-        best_val, best_epoch, since_best = np.inf, -1, 0
-        for _ in range(n_epochs):
-            perm = rng.permutation(k_train)
-            sums = np.zeros(3)
-            n_batches = 0
-            for lo in range(0, k_train, config.batch_size):
-                idx = perm[lo:lo + config.batch_size]
-                users = train_part.users[idx]
-                items = train_part.items[idx]
-                labels = train_part.labels[idx]
-                props = train_prop[idx] if train_prop is not None else None
-                weights = M.rec_weights(config.rec_objective, props, len(idx)) * rec_scale
-                pos = None
-                if lam > 0:
-                    pos = sampler(users, items, rng)
-                    report.sampler_calls += len(idx)
-                total, rec, cclv, grads = batch_objective(
-                    params, users, items, labels, weights, lam, config.tau,
-                    pos_items=pos, loss_kind=config.loss_kind,
-                    gamma=config.focal_gamma, cosine=config.cosine)
-                if not np.isfinite(total):
-                    raise FloatingPointError(
-                        f"non-finite loss at epoch {report.epochs_run}, batch {n_batches}: "
-                        f"rec={rec}, ccl={cclv}")
-                grads.assert_finite()
-                M.adam_step(params, grads, state, config.learning_rate,
-                            weight_decay=config.weight_decay)
-                sums += (rec, cclv, total)
-                n_batches += 1
-            report.rec_losses.append(sums[0] / n_batches)
-            report.ccl_losses.append(sums[1] / n_batches)
-            report.total_losses.append(sums[2] / n_batches)
-            report.epochs_run += 1
+    for _ in range(config.max_epochs):
+        perm = rng.permutation(k_train)
+        sums = np.zeros(3)
+        n_batches = 0
+        for lo in range(0, k_train, config.batch_size):
+            idx = perm[lo:lo + config.batch_size]
+            users = train_part.users[idx]
+            items = train_part.items[idx]
+            labels = train_part.labels[idx]
+            props = train_prop[idx] if train_prop is not None else None
+            weights = M.rec_weights(config.rec_objective, props, len(idx))
+            pos = None
+            if config.lam > 0:
+                pos = sampler(users, items, rng)
+                report.sampler_calls += len(idx)
+            total, rec, cclv, grads = batch_objective(
+                params, users, items, labels, weights, config.lam, config.tau,
+                pos_items=pos, loss_kind=config.loss_kind,
+                gamma=config.focal_gamma, cosine=config.cosine)
+            if not np.isfinite(total):
+                raise FloatingPointError(
+                    f"non-finite loss at epoch {report.epochs_run}, batch {n_batches}: "
+                    f"rec={rec}, ccl={cclv}")
+            grads.assert_finite()
+            M.adam_step(params, grads, state, config.learning_rate,
+                        weight_decay=config.weight_decay)
+            sums += (rec, cclv, total)
+            n_batches += 1
+        report.rec_losses.append(sums[0] / n_batches)
+        report.ccl_losses.append(sums[1] / n_batches)
+        report.total_losses.append(sums[2] / n_batches)
+        report.epochs_run += 1
 
-            if len(val_part) == 0:
-                report.val_losses.append(float("nan"))
-                best_params = params.copy()
-                best_epoch = report.epochs_run - 1
-                continue
-            val_loss = _validation_loss(params, config, val_part, lam, sampler, val_rng)
-            report.val_losses.append(val_loss)
-            if val_loss < best_val:
-                best_val = val_loss
-                best_params = params.copy()
-                best_epoch = report.epochs_run - 1
-                since_best = 0
-            else:
-                since_best += 1
-                if early_stop and since_best > config.patience:
-                    break
+        if len(val_part) == 0:
+            report.val_losses.append(float("nan"))
+            best_params = params.copy()
+            best_epoch = report.epochs_run - 1
+            continue
+        val_loss = _validation_loss(params, config, val_part, sampler, val_rng)
+        report.val_losses.append(val_loss)
+        if val_loss < best_val:
+            best_val = val_loss
+            best_params = params.copy()
+            best_epoch = report.epochs_run - 1
+            since_best = 0
+        else:
+            since_best += 1
+            if since_best > config.patience:
+                break
 
     report.best_epoch = best_epoch
     report.wall_clock = time.perf_counter() - start
     return best_params, report
 
 
-def _validation_loss(params, config, val_part: InteractionTable, lam_ccl, sampler,
-                     val_rng) -> float:
+def _validation_loss(params, config, val_part: InteractionTable, sampler, val_rng) -> float:
     batch = M.forward(params, val_part.users, val_part.items)
     rec = M.per_sample_loss(batch.y, val_part.labels, config.loss_kind,
                             config.focal_gamma).mean()
-    if lam_ccl <= 0:
+    if config.lam <= 0:
         return float(rec)
     # one sampler call keeps the val_rng stream; the contrastive term is scored
     # in chunks of batch_size pairs, like training, and weighted by row count
@@ -265,7 +260,7 @@ def _validation_loss(params, config, val_part: InteractionTable, lam_ccl, sample
     for lo in range(0, len(reps), rows):
         chunk = reps[lo:lo + rows]
         cclv += len(chunk) * C.ccl_loss(C.CCLBatch(chunk, config.tau), cosine=config.cosine)
-    return float(rec + lam_ccl * cclv / len(reps))
+    return float(rec + config.lam * cclv / len(reps))
 
 
 def _run_arms(bundle: DatasetBundle, config: TrainConfig, arms, seeds: list[int]) -> list[dict]:

@@ -1,9 +1,13 @@
+import argparse
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from cclrec.cli import aggregate, main, write_results
+from cclrec.cli import _add_train_args, aggregate, main, write_results
 from cclrec.data import load_triples
 from cclrec.simulate import SimConfig, generate, save_bundle
+from cclrec.training import TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -133,10 +137,39 @@ class TestExitCodes:
         assert "config line 2" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("line, message", [
+        ("propensity_source = bogus", "unknown propensity source"),
+        ("embed_dim = 0", "embed_dim must be >= 1"),
+    ])
+    def test_config_file_value_that_train_cannot_run(self, triple_dir, tmp_path, capsys,
+                                                      line, message):
+        # argparse choices guard flags, not config files: validate() must catch these
+        cfg_file = tmp_path / "cfg.txt"
+        cfg_file.write_text(f"max_epochs = 1\n{line}\n")
+        code = main(["train", *triple_args(triple_dir), "--config", str(cfg_file),
+                     "--seeds", "0", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_empty_seed_list(self, triple_dir, tmp_path):
         code = main(["train", *triple_args(triple_dir), *FAST,
                      "--seeds", ",", "--out", str(tmp_path / "x")])
         assert code == 2
+
+
+class TestTrainFlags:
+    def test_every_train_flag_sets_a_config_field(self):
+        parser = argparse.ArgumentParser()
+        _add_train_args(parser)
+        dests = {a.dest for a in parser._actions} - {"help", "config", "seeds", "out"}
+        assert dests <= {f.name for f in fields(TrainConfig)}
+
+    def test_mode_flag_is_gone(self, triple_dir, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", *triple_args(triple_dir), *FAST, "--mode", "joint",
+                  "--seeds", "0", "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
 
 
 class TestPrepareAndSimulate:

@@ -19,7 +19,7 @@ from cclrec.contrastive import (
     scatter_view_grads,
 )
 from cclrec.data import DatasetBundle, ExposureMatrix, InteractionTable
-from cclrec.model import GradientSet, init_params
+from cclrec.model import ModelParams, init_params
 from cclrec.propensity import (
     PopularityTable,
     PropensityTable,
@@ -37,8 +37,8 @@ def reference_row(table, user):
     if table.kind == "dense":
         return table.dense[user]
     out = np.full(table.n, table.marginal)
-    if table._label_grid is not None:
-        lab = table._label_grid[user]
+    if table.label_grid is not None:
+        lab = table.label_grid[user]
         p0, p1 = table.class_probs
         out[lab == 0] = p0
         out[lab == 1] = p1
@@ -215,11 +215,12 @@ def ps_pop_cases(draw):
         dense = np.array(draw(st.lists(value, min_size=m * n, max_size=m * n))).reshape(m, n)
         table = PropensityTable(m, n, 1e-6, dense=dense)
     else:
-        table = PropensityTable(m, n, 1e-6, class_probs=(draw(value), draw(value)),
-                                marginal=draw(value))
+        grid = None
         if kind == "per-class + grid":
             grid = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=m * n, max_size=m * n))
-            table._label_grid = np.array(grid, dtype=np.int8).reshape(m, n)
+            grid = np.array(grid, dtype=np.int8).reshape(m, n)
+        table = PropensityTable(m, n, 1e-6, class_probs=(draw(value), draw(value)),
+                                marginal=draw(value), label_grid=grid)
     pop = PopularityTable(np.array(draw(st.lists(value, min_size=n, max_size=n))))
     users, items = [], []
     for _ in range(draw(st.integers(0, 20))):
@@ -510,7 +511,7 @@ class TestScatterViewGrads:
         batch = CCLBatch(assemble_views(params, users, items, pos_items), tau,
                          users=users, anchor_items=items, positive_items=pos_items)
         _, grad_reps = ccl_loss_and_grad(batch)
-        grads = GradientSet.zeros_like(params)
+        grads = ModelParams.zeros_like(params)
         scatter_view_grads(params, batch, grad_reps, grads, scale=lam)
 
         h = 1e-6
@@ -535,7 +536,7 @@ class TestScatterViewGrads:
         batch = CCLBatch(assemble_views(params, users, items, pos), 1.0,
                          users=users, anchor_items=items, positive_items=pos)
         grad_reps = np.ones((4, 4))
-        grads = GradientSet.zeros_like(params)
+        grads = ModelParams.zeros_like(params)
         scatter_view_grads(params, batch, grad_reps, grads)
         # user 0 appears in all four views, items 1 in two anchor views
         np.testing.assert_allclose(grads.user_embeddings[0], [4.0, 4.0])

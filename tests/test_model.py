@@ -13,7 +13,7 @@ def small_params():
 
 def finite_diff_grads(loss_fn, params, h=1e-5):
     """Central finite differences over every parameter."""
-    grads = M.GradientSet.zeros_like(params)
+    grads = M.ModelParams.zeros_like(params)
     for p_arr, g_arr in zip(params.flat_arrays(), grads.flat_arrays()):
         it = np.nditer(p_arr, flags=["multi_index"])
         for _ in it:
@@ -28,7 +28,7 @@ def finite_diff_grads(loss_fn, params, h=1e-5):
     return grads
 
 
-def max_rel_error(analytic: M.GradientSet, numeric: M.GradientSet) -> float:
+def max_rel_error(analytic: M.ModelParams, numeric: M.ModelParams) -> float:
     worst = 0.0
     for a, b in zip(analytic.flat_arrays(), numeric.flat_arrays()):
         denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-6)
@@ -235,7 +235,7 @@ class TestAdam:
     def test_zero_gradient_no_move(self, small_params):
         state = M.AdamState.for_params(small_params)
         before = [a.copy() for a in small_params.flat_arrays()]
-        M.adam_step(small_params, M.GradientSet.zeros_like(small_params), state, lr=0.1)
+        M.adam_step(small_params, M.ModelParams.zeros_like(small_params), state, lr=0.1)
         assert state.t == 1
         for a, b in zip(small_params.flat_arrays(), before):
             np.testing.assert_allclose(a, b)
@@ -243,7 +243,7 @@ class TestAdam:
     def test_first_step_magnitude(self):
         params = M.ModelParams(np.array([[1.0]]), np.array([[1.0]]),
                                [(np.zeros((2, 1)), np.zeros(1))])
-        grads = M.GradientSet(np.array([[3.0]]), np.array([[-2.0]]),
+        grads = M.ModelParams(np.array([[3.0]]), np.array([[-2.0]]),
                               [(np.zeros((2, 1)), np.zeros(1))])
         state = M.AdamState.for_params(params)
         M.adam_step(params, grads, state, lr=0.01)
@@ -255,7 +255,7 @@ class TestAdam:
 
         def run():
             params = M.init_params(3, 3, 2, 1, np.random.default_rng(1))
-            grads = M.GradientSet.zeros_like(params)
+            grads = M.ModelParams.zeros_like(params)
             for a in grads.flat_arrays():
                 a += 0.1
             state = M.AdamState.for_params(params)
@@ -272,7 +272,7 @@ class TestAdam:
         x = np.array([[1.0]])
         params = M.ModelParams(x, np.array([[0.0]]), [(np.zeros((2, 1)), np.zeros(1))])
         state = M.AdamState.for_params(params)
-        grads = M.GradientSet(2 * x.copy(), np.array([[0.0]]),
+        grads = M.ModelParams(2 * x.copy(), np.array([[0.0]]),
                               [(np.zeros((2, 1)), np.zeros(1))])
         M.adam_step(params, grads, state, lr=1e-3)
         assert params.user_embeddings[0, 0] ** 2 < 1.0
@@ -297,7 +297,7 @@ class TestAdam:
         m = [np.zeros_like(a) for a in want.flat_arrays()]
         v = [np.zeros_like(a) for a in want.flat_arrays()]
         for t in range(1, 21):
-            grads = M.GradientSet.zeros_like(got)
+            grads = M.ModelParams.zeros_like(got)
             for a in grads.flat_arrays():
                 a += rng.normal(size=a.shape) * (rng.random(a.shape) < 0.7)
             M.adam_step(got, grads, state, lr=3e-2, weight_decay=weight_decay)
@@ -307,7 +307,7 @@ class TestAdam:
 
     def test_bad_lr(self, small_params):
         with pytest.raises(ValueError):
-            M.adam_step(small_params, M.GradientSet.zeros_like(small_params),
+            M.adam_step(small_params, M.ModelParams.zeros_like(small_params),
                         M.AdamState.for_params(small_params), lr=0.0)
 
 
@@ -318,11 +318,13 @@ class TestCheckpoint:
         loaded = M.load_checkpoint(path)
         for a, b in zip(small_params.flat_arrays(), loaded.flat_arrays()):
             assert (a == b).all()
-        assert loaded.activation == small_params.activation
+        assert b'"activation": "relu"' in path.read_bytes().split(b"\n", 1)[0]
 
     def test_other_activation_is_a_data_error(self, small_params, tmp_path):
-        small_params.activation = "tanh"
-        M.save_checkpoint(tmp_path / "tanh.bin", small_params)
+        M.save_checkpoint(tmp_path / "relu.bin", small_params)
+        raw = (tmp_path / "relu.bin").read_bytes()
+        (tmp_path / "tanh.bin").write_bytes(
+            raw.replace(b'"activation": "relu"', b'"activation": "tanh"', 1))
         with pytest.raises(DataFormatError, match="activation 'tanh'"):
             M.load_checkpoint(tmp_path / "tanh.bin")
 

@@ -154,6 +154,13 @@ class TestNaiveBayes:
         assert [r.tolist() for r in got] == [table.row(u).tolist() for u in (1, 0, 1)]
         assert table.rows([]).shape == (0, 3)
 
+    def test_builds_a_read_only_label_grid(self):
+        train = InteractionTable.from_lists([0, 0, 1], [0, 1, 2], [5, 1, 5])
+        table = estimate_propensity_nb(train, train, m=2, n=3)
+        assert table.label_grid.dtype == np.int8
+        assert table.label_grid.tolist() == [[1, 0, -1], [-1, -1, 1]]
+        assert not table.label_grid.flags.writeable
+
 
 class TestRowsRejectUsersOutOfRange:
     """row / rows raise IndexError outside [0, m) instead of wrapping negative ids."""
@@ -236,6 +243,13 @@ class TestClip:
         with pytest.raises(ValueError):
             clip_propensity(t, 0.0)
 
+    def test_per_class_keeps_the_label_grid(self):
+        grid = np.array([[1, -1, 0]], dtype=np.int8)
+        t = PropensityTable(1, 3, 0.01, class_probs=(0.02, 0.4), marginal=0.03, label_grid=grid)
+        c = clip_propensity(t, 0.05)
+        assert c.label_grid is grid
+        assert c.row(0).tolist() == [0.4, 0.05, 0.05]
+
 
 class TestSerialization:
     def test_dense_round_trip(self, tmp_path):
@@ -285,6 +299,17 @@ class TestSerializationErrors:
         t = PropensityTable(1, 2, 0.05, class_probs=(0.2, 0.4), marginal=0.3)
         save_table(tmp_path / "t.bin", t)
         assert load_table(tmp_path / "t.bin").row(0).tolist() == [0.3, 0.3]
+
+    @pytest.mark.parametrize("byte", [7, -2])
+    def test_label_grid_byte_outside_its_values(self, tmp_path, byte):
+        train = InteractionTable.from_lists([0, 1], [0, 2], [5, 1])
+        mcar = InteractionTable.from_lists([0, 1, 1], [1, 0, 1], [5, 1, 4])
+        save_table(tmp_path / "t.bin", estimate_propensity_nb(train, mcar, m=2, n=3))
+        raw = bytearray((tmp_path / "t.bin").read_bytes())
+        raw[-1] = byte % 256  # the grid is the last m x n bytes
+        (tmp_path / "t.bin").write_bytes(bytes(raw))
+        with pytest.raises(DataFormatError, match="label grid"):
+            load_table(tmp_path / "t.bin")
 
     def test_bad_header(self, tmp_path):
         (tmp_path / "t.bin").write_bytes(b"matrix 1 2 0.1\n")

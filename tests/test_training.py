@@ -47,6 +47,28 @@ class TestConfig:
         with pytest.raises(ValueError):
             TrainConfig(**kwargs).validate()
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"propensity_source": "bogus"}, "unknown propensity source 'bogus'"),
+        ({"batch_size": 0}, "batch_size must be >= 1"),
+        ({"batch_size": -5}, "batch_size must be >= 1"),
+        ({"embed_dim": 0}, "embed_dim must be >= 1"),
+        ({"hidden_layers": -1}, "hidden_layers must be >= 0"),
+        ({"max_epochs": -1}, "max_epochs must be >= 0"),
+        ({"patience": -1}, "patience must be >= 0"),
+    ])
+    def test_train_rejects_values_it_cannot_run(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**kwargs).validate()
+        with pytest.raises(ValueError, match=message):
+            train(toy_bundle(), TrainConfig(**{"max_epochs": 1, **kwargs}))
+
+    @pytest.mark.parametrize("kwargs", [
+        {"propensity_source": "oracle"}, {"batch_size": 1}, {"embed_dim": 1},
+        {"hidden_layers": 0}, {"max_epochs": 0}, {"patience": 0},
+    ])
+    def test_accepts_the_smallest_valid_values(self, kwargs):
+        TrainConfig(**kwargs).validate()
+
     def test_kv_round_trip(self):
         cfg = TrainConfig(lam=0.3, tau=0.5, sampler="pop", cosine=True,
                           max_epochs=7, rec_objective="snips")
@@ -75,7 +97,7 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown key"):
             TrainConfig.from_kv("nope = 1\n")
 
-    @pytest.mark.parametrize("key", ["log_batches", "seeds"])
+    @pytest.mark.parametrize("key", ["log_batches", "seeds", "mode", "pretrain_epochs"])
     def test_kv_rejects_removed_and_foreign_keys(self, key):
         with pytest.raises(ValueError, match=f"unknown key '{key}'"):
             TrainConfig.from_kv(f"{key} = 1\n")
@@ -141,7 +163,7 @@ class TestValidationLoss:
     @pytest.mark.parametrize("cosine", [False, True])
     def test_equals_per_chunk_loop(self, n_val, batch_size, cosine):
         params, cfg, val, sampler = self.setting(n_val, batch_size, cosine)
-        got = _validation_loss(params, cfg, val, cfg.lam, sampler, np.random.default_rng(9))
+        got = _validation_loss(params, cfg, val, sampler, np.random.default_rng(9))
         want = self.per_chunk_loop(params, cfg, val, sampler, np.random.default_rng(9))
         assert got == want
 
@@ -155,13 +177,13 @@ class TestValidationLoss:
             return original(batch, *args, **kwargs)
 
         monkeypatch.setattr(C, "ccl_loss", recording)
-        _validation_loss(params, cfg, val, cfg.lam, sampler, np.random.default_rng(9))
+        _validation_loss(params, cfg, val, sampler, np.random.default_rng(9))
         assert seen == [80, 80, 2]  # the last chunk is exactly one pair
 
     def test_draws_positives_with_one_sampler_call(self):
         params, cfg, val, sampler = self.setting(81, 40)
         rng, ref = np.random.default_rng(9), np.random.default_rng(9)
-        _validation_loss(params, cfg, val, cfg.lam, sampler, rng)
+        _validation_loss(params, cfg, val, sampler, rng)
         sampler(val.users, val.items, ref)
         assert rng.bit_generator.state == ref.bit_generator.state
 
@@ -220,16 +242,6 @@ class TestTrain:
                           learning_rate=5e-2, patience=6, val_fraction=0.25, seed=2)
         params, rep = train(b, cfg)
         assert rep.best_epoch <= rep.epochs_run - 1
-
-    def test_pretrain_mode_runs_both_stages(self):
-        b = toy_bundle()
-        cfg = TrainConfig(lam=1.0, mode="pretrain", pretrain_epochs=3,
-                          max_epochs=4, batch_size=8, embed_dim=4,
-                          patience=10, seed=0)
-        _, rep = train(b, cfg)
-        assert rep.epochs_run >= 3
-        # contrastive-only stage first: rec loss is reported but unweighted
-        assert rep.ccl_losses[0] > 0.0
 
     def test_empty_train_rejected(self):
         empty = InteractionTable.from_lists((), (), ())
