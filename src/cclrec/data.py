@@ -4,7 +4,7 @@ Two on-disk formats are supported:
   * Coat-style: whitespace-separated integer matrix, one user per row,
     0 = unobserved, 1..5 = rating; optional binary feature matrices.
   * Triple-style: one "user item rating" line per interaction, separator
-    auto-detected among tab / space / comma.
+    auto-detected among tab / space / comma (grammar in load_triples).
 
 All returned tables are immutable after construction and safe for concurrent
 reads, except DatasetBundle._unexposed_cache: unexposed_items (the cf sampler)
@@ -152,24 +152,24 @@ class DatasetBundle:
 def _read_int_matrix(path: Path, max_value: int = 5) -> np.ndarray:
     rows = []
     width = None
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            try:
-                row = [int(p) for p in parts]
-            except ValueError as e:
-                raise DataFormatError(f"{path}:{lineno}: non-integer cell ({e})") from e
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise DataFormatError(
-                    f"{path}:{lineno}: row width {len(row)} != {width}")
-            bad = [v for v in row if v < 0 or v > max_value]
-            if bad:
-                raise DataFormatError(f"{path}:{lineno}: value {bad[0]} outside 0..{max_value}")
-            rows.append(row)
+    b = np.fromfile(path, dtype=np.uint8)
+    for lineno, (start, end) in enumerate(zip(*_line_bounds(b)), start=1):
+        parts = _decode_line(path, lineno, b[start:end].tobytes()).split()
+        if not parts:
+            continue
+        try:
+            row = [int(p) for p in parts]
+        except ValueError as e:
+            raise DataFormatError(f"{path}:{lineno}: non-integer cell ({e})") from e
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise DataFormatError(
+                f"{path}:{lineno}: row width {len(row)} != {width}")
+        bad = [v for v in row if v < 0 or v > max_value]
+        if bad:
+            raise DataFormatError(f"{path}:{lineno}: value {bad[0]} outside 0..{max_value}")
+        rows.append(row)
     if not rows:
         raise DataFormatError(f"{path}: empty file")
     return np.array(rows, dtype=np.int64)
@@ -223,40 +223,148 @@ def serialize_matrix(table: InteractionTable, m: int, n: int) -> np.ndarray:
 
 
 _SEPARATORS = ("\t", ",", None)  # None = any whitespace
+_BLOCK_BYTES = 1 << 17  # bytes parsed at a time (more for a longer line); bounds the temporaries
+_MAX_DIGITS = 18  # 10**18 - 1 < 2**63: Horner's rule cannot overflow int64
+_TAB, _LF, _CR, _SPACE, _COMMA, _ZERO = b"\t\n\r ,0"
+_INT64 = np.iinfo(np.int64)
+
+
+def _line_bounds(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, ends) of each line's content in the bytes `b`.
+
+    Lines end at \\n, \\r\\n or a lone \\r, as in text mode's universal
+    newlines, and the content excludes the terminator.
+    """
+    cr = b == _CR
+    lone_cr = cr.copy()
+    lone_cr[:-1] &= b[1:] != _LF
+    breaks = np.flatnonzero((b == _LF) | lone_cr)
+    starts = np.r_[0, breaks + 1]
+    ends = np.r_[breaks, len(b)]
+    if starts[-1] == len(b):  # nothing follows the last break
+        starts, ends = starts[:-1], ends[:-1]
+    ends -= (ends > starts) & cr[ends - 1]  # the \r of a \r\n
+    return starts, ends
+
+
+def _decode_line(path: Path, lineno: int, raw: bytes) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise DataFormatError(f"{path}:{lineno}: not UTF-8 text ({e})") from e
+
+
+def _decode_regular(b: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """(3 x lines) int64 values of the regular lines (see load_triples) among
+    the non-empty list [starts, ends), and their mask; other lines get garbage."""
+    lo, hi = starts[0], ends[-1]
+    seg = b[lo:hi]
+    nondigit = (seg < _ZERO) | (seg > _ZERO + 9)
+    before = np.zeros(len(seg) + 1, dtype=np.int64)  # non-digit bytes before each offset
+    np.cumsum(nondigit, out=before[1:])
+    first = before[starts - lo]
+    regular = before[ends - lo] - first == 2
+    marks = np.append(np.flatnonzero(nondigit) + lo, [lo, lo])  # lo: in range for any line
+    p1, p2 = marks[first], marks[first + 1]
+    s1, s2 = b[p1], b[p2]
+    regular &= (((s1 == _SPACE) | (s1 == _TAB)) & ((s2 == _SPACE) | (s2 == _TAB))
+                | (s1 == _COMMA) & (s2 == _COMMA))
+    fields = ((starts, p1), (p1 + 1, p2), (p2 + 1, ends))
+    for a, z in fields:
+        regular &= (z - a >= 1) & (z - a <= _MAX_DIGITS)
+    cols = np.zeros((3, len(starts)), dtype=np.int64)
+    for v, (a, z) in zip(cols, fields):
+        width = np.where(regular, z - a, 0)
+        for d in range(int(width.max())):  # Horner's rule, one digit position at a time
+            np.copyto(v, 10 * v + (b[np.minimum(a + d, len(b) - 1)] - _ZERO), where=d < width)
+    return cols, regular
+
+
+def _split_triple(path: Path, lineno: int, line: str):
+    """Per-line decode: [user, item, rating] as ints, or None for a blank line."""
+    line = line.strip()
+    if not line:
+        return None
+    for sep in _SEPARATORS:
+        parts = line.split(sep)
+        if len(parts) == 3:
+            break
+    else:
+        raise DataFormatError(f"{path}:{lineno}: expected 3 fields, got {line!r}")
+    try:
+        return [int(p) for p in parts]
+    except ValueError as e:
+        raise DataFormatError(f"{path}:{lineno}: non-integer field ({e})") from e
+
+
+def _row_problem(u: int, i: int, r: int, m: int, n: int) -> Optional[str]:
+    if not (0 <= u < m) or not (0 <= i < n):
+        return f"id ({u},{i}) out of range {m}x{n}"
+    if r < 1 or r > 5:
+        return f"rating {r} outside 1..5"
+    return None
+
+
+def _parse_lines(path: Path, lineno: int, data: bytes, m: int, n: int, offset: int):
+    """(3 x rows) int64 columns of the non-empty `data`, whose first line is
+    number lineno + 1, and its number of lines.
+
+    Regular lines are decoded in bulk, the rest by _split_triple; the range
+    checks then run once on the merged columns, and the first problem in
+    file order is raised.
+    """
+    b = np.frombuffer(data, dtype=np.uint8)
+    starts, ends = _line_bounds(b)
+    cols, kept = _decode_regular(b, starts, ends)
+    cols[:2] -= offset
+    stop, error = len(starts), None  # lines from `stop` on cannot hold the first problem
+    for j in np.flatnonzero(~kept).tolist():
+        at = lineno + j + 1
+        try:
+            row = _split_triple(path, at, _decode_line(path, at, data[starts[j]:ends[j]]))
+            if row is None:
+                continue
+            row[0] -= offset
+            row[1] -= offset
+            if not all(_INT64.min <= v <= _INT64.max for v in row):  # so out of range
+                raise DataFormatError(f"{path}:{at}: {_row_problem(*row, m, n)}")
+        except DataFormatError as e:
+            stop, error = j, e
+            break
+        cols[:, j] = row
+        kept[j] = True
+    u, i, r = cols[:, :stop]
+    bad = kept[:stop] & ((u < 0) | (u >= m) | (i < 0) | (i >= n) | (r < 1) | (r > 5))
+    if bad.any():
+        j = int(bad.argmax())
+        raise DataFormatError(f"{path}:{lineno + j + 1}: {_row_problem(*cols[:, j].tolist(), m, n)}")
+    if error is not None:
+        raise error
+    return cols[:, kept], len(starts)
 
 
 def _parse_triple_file(path: Path, m: int, n: int, one_based: bool):
     """Parse triples into (users, items, ratings) int64 columns sorted by
-    (user, item); duplicates keep the last occurrence. Returns columns + dup count."""
-    users, items, ratings = [], [], []
+    (user, item); duplicates keep the last occurrence. Returns columns + dup count.
+
+    The file is read once, in blocks of whole lines, each parsed by _parse_lines.
+    """
     offset = 1 if one_based else 0
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = None
-            for sep in _SEPARATORS:
-                cand = line.split(sep)
-                if len(cand) == 3:
-                    parts = cand
-                    break
-            if parts is None:
-                raise DataFormatError(f"{path}:{lineno}: expected 3 fields, got {line!r}")
-            try:
-                u, i, r = (int(p) for p in parts)
-            except ValueError as e:
-                raise DataFormatError(f"{path}:{lineno}: non-integer field ({e})") from e
-            u -= offset
-            i -= offset
-            if not (0 <= u < m) or not (0 <= i < n):
-                raise DataFormatError(f"{path}:{lineno}: id ({u},{i}) out of range {m}x{n}")
-            if r < 1 or r > 5:
-                raise DataFormatError(f"{path}:{lineno}: rating {r} outside 1..5")
-            users.append(u)
-            items.append(i)
-            ratings.append(r)
-    columns = [np.array(c, dtype=np.int64) for c in (users, items, ratings)]
+    blocks, lineno, carry = [np.empty((3, 0), dtype=np.int64)], 0, b""
+    with open(path, "rb") as f:
+        while True:
+            chunk = f.read(_BLOCK_BYTES + len(carry))  # grows with a long line: linear, not quadratic
+            data = carry + chunk
+            # cut after the last line break; a \r at the very end may begin a \r\n
+            cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, -1)) + 1 if chunk else len(data)
+            if cut:
+                cols, lines = _parse_lines(path, lineno, data[:cut], m, n, offset)
+                blocks.append(cols)
+                lineno += lines
+            carry = data[cut:]
+            if not chunk:
+                break
+    columns = [np.concatenate(c) for c in zip(*blocks)]
     keys = columns[0] * n + columns[1]
     order = np.argsort(keys, kind="stable")  # equal keys stay in file order
     keys = keys[order]
@@ -268,7 +376,18 @@ def _parse_triple_file(path: Path, m: int, n: int, one_based: bool):
 
 def load_triples(train_path, test_path, m: int, n: int, one_based: bool = False,
                  threshold: int = DEFAULT_THRESHOLD) -> DatasetBundle:
-    """Load Yahoo-style "user item rating" triple files."""
+    """Load Yahoo-style "user item rating" triple files.
+
+    Lines end at \\n, \\r\\n or a lone \\r, and blank lines are skipped.
+    A line holds three integers split by tabs, else commas, else any
+    whitespace: the first separator giving exactly three fields wins.
+    Regular lines, ``digits SEP digits SEP digits`` with SEP one space or
+    tab (or both SEPs one comma) and fields of 1 to 18 digits, are decoded
+    in bulk; any other line is stripped, split and read by int() on its
+    own. Both paths give the same columns, and the first problem in file
+    order (a malformed line, a byte that is not UTF-8, an id outside
+    m x n, a rating outside 1..5) is a DataFormatError naming its line.
+    """
     tables = []
     for path in (train_path, test_path):
         columns, dups = _parse_triple_file(Path(path), m, n, one_based)

@@ -56,6 +56,8 @@ class TrainConfig:
             raise ValueError("lam must be non-negative")
         if self.tau <= 0:
             raise ValueError("tau must be positive")
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be positive")
         if self.sampler not in C.SAMPLER_KINDS:
             raise ValueError(f"unknown sampler {self.sampler!r}")
         if self.loss_kind not in ("log", "focal"):
@@ -65,7 +67,8 @@ class TrainConfig:
         if self.propensity_source not in ("auto", "lr", "nb", "oracle"):
             raise ValueError(f"unknown propensity source {self.propensity_source!r}")
         for name, least in (("batch_size", 1), ("embed_dim", 1), ("hidden_layers", 0),
-                            ("max_epochs", 0), ("patience", 0)):
+                            ("max_epochs", 0), ("patience", 0), ("weight_decay", 0),
+                            ("focal_gamma", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if not (0 <= self.val_fraction < 1):

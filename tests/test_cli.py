@@ -123,6 +123,21 @@ class TestExitCodes:
                      "--num-users", "5", "--num-items", "5"])
         assert code == 3
 
+    def test_triple_file_that_is_not_utf8(self, tmp_path, capsys):
+        (tmp_path / "train.txt").write_bytes(b"0 0 4\n0 1 \xff\n")
+        (tmp_path / "test.txt").write_text("0 0 5\n")
+        code = main(["prepare", "--dataset", "triples", "--data-dir", str(tmp_path),
+                     "--num-users", "5", "--num-items", "5"])
+        assert code == 3
+        assert "train.txt:2: not UTF-8 text" in capsys.readouterr().err
+
+    def test_coat_file_that_is_not_utf8(self, tmp_path, capsys):
+        (tmp_path / "train.ascii").write_text("5 0\n0 3\n")
+        (tmp_path / "test.ascii").write_bytes(b"0 1\r\n\xe9 0\r\n")
+        code = main(["prepare", "--dataset", "coat", "--data-dir", str(tmp_path)])
+        assert code == 3
+        assert "test.ascii:2: not UTF-8 text" in capsys.readouterr().err
+
     def test_bad_config_value(self, triple_dir, tmp_path):
         code = main(["train", *triple_args(triple_dir), *FAST,
                      "--lam", "-1", "--seeds", "0", "--out", str(tmp_path / "x")])
@@ -140,6 +155,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("line, message", [
         ("propensity_source = bogus", "unknown propensity source"),
         ("embed_dim = 0", "embed_dim must be >= 1"),
+        ("weight_decay = -5", "weight_decay must be >= 0"),
+        ("learning_rate = 0", "learning_rate must be positive"),
+        ("focal_gamma = -1", "focal_gamma must be >= 0"),
     ])
     def test_config_file_value_that_train_cannot_run(self, triple_dir, tmp_path, capsys,
                                                       line, message):

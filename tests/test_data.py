@@ -1,11 +1,13 @@
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from cclrec import data as D
 from cclrec.data import (
     DataFormatError,
     ExposureMatrix,
@@ -98,6 +100,12 @@ class TestLoadCoat:
         with pytest.raises(DataFormatError, match="non-integer"):
             load_coat(tmp_path)
 
+    def test_byte_that_is_not_utf8_rejected(self, tmp_path):
+        (tmp_path / "train.ascii").write_bytes(b"1 0\r0 \xff\n")
+        (tmp_path / "test.ascii").write_text("0 1\n1 0\n")
+        with pytest.raises(DataFormatError, match=r"train.ascii:2: not UTF-8 text"):
+            load_coat(tmp_path)
+
     def test_feature_files_loaded(self, tiny_coat):
         (tiny_coat / "user_features.ascii").write_text("1 0\n0 1\n1 1\n")
         (tiny_coat / "item_features.ascii").write_text("1\n0\n1\n0\n")
@@ -178,6 +186,158 @@ class TestLoadTriples:
         assert b.train.users.dtype == b.train.items.dtype == b.train.ratings.dtype == np.int64
         expected = [f"{train}: {dups} duplicate (user,item) lines, kept last"] if dups else []
         assert [str(w.message) for w in caught] == expected
+
+
+def _reference_parse_triple_file(path, m, n, one_based):
+    """The per-line parser that _parse_triple_file replaced (text mode, UTF-8)."""
+    users, items, ratings = [], [], []
+    offset = 1 if one_based else 0
+    with open(path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            parts = None
+            for sep in ("\t", ",", None):
+                cand = line.split(sep)
+                if len(cand) == 3:
+                    parts = cand
+                    break
+            if parts is None:
+                raise DataFormatError(f"{path}:{lineno}: expected 3 fields, got {line!r}")
+            try:
+                u, i, r = (int(p) for p in parts)
+            except ValueError as e:
+                raise DataFormatError(f"{path}:{lineno}: non-integer field ({e})") from e
+            u -= offset
+            i -= offset
+            if not (0 <= u < m) or not (0 <= i < n):
+                raise DataFormatError(f"{path}:{lineno}: id ({u},{i}) out of range {m}x{n}")
+            if r < 1 or r > 5:
+                raise DataFormatError(f"{path}:{lineno}: rating {r} outside 1..5")
+            users.append(u)
+            items.append(i)
+            ratings.append(r)
+    columns = [np.array(c, dtype=np.int64) for c in (users, items, ratings)]
+    keys = columns[0] * n + columns[1]
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    last = np.ones(len(keys), dtype=bool)
+    last[:-1] = keys[1:] != keys[:-1]
+    keep = order[last]
+    return [c[keep] for c in columns], len(keys) - len(keep)
+
+
+ORACLE_M, ORACLE_N = 4, 5
+
+# Clean lines load with and without one_based: ids 1..3, ratings 1..5, spelled
+# plainly or in ways only the per-line decode reads (sign, underscore, padding).
+_clean_id = st.one_of(st.integers(1, 3).map(str), st.sampled_from(["01", "002", "+1", "0_1", "\u0663"]))
+_clean_rating = st.one_of(st.integers(1, 5).map(str), st.sampled_from(["05", "+4", " 2", "3 "]))
+_sep = st.sampled_from([" ", "\t", " ", "\t", "  ", " \t", "\t "])
+# Wild fields sit on both sides of every range edge (id 0 is -1 when one_based),
+# spell a value only the per-line decode reads, or do not parse.
+_wild_field = st.one_of(
+    st.sampled_from(["0", "1", "4", "5", "6"]),
+    st.sampled_from(["-1", "-0", "1_0", "x", "", "1.0", "000000000000000003", "123456789012345678",
+                     "1234567890123456789", "9999999999999999999", "99999999999999999999999",
+                     "-99999999999999999999999"]),
+)
+
+
+@st.composite
+def _clean_line(draw):
+    u, i, r = draw(_clean_id), draw(_clean_id), draw(_clean_rating)
+    kind = draw(st.sampled_from(["seps"] * 4 + ["commas", "blank", "padded"]))
+    if kind == "commas":
+        return f"{u},{i},{r}"
+    if kind == "blank":
+        return draw(st.sampled_from(["", " ", "\t\t", "\x0c"]))
+    line = f"{u}{draw(_sep)}{i}{draw(_sep)}{r}"
+    return f" {line}\t" if kind == "padded" else line
+
+
+@st.composite
+def _wild_line(draw):
+    if draw(st.booleans()):
+        return draw(st.sampled_from(["1 2", "1 2 3 4", "1,2 3", "1,2\t3", "1\t2,3", "1\t\t2\t3", "1, 2, 3",
+                                     "a b c", "1\xa02 3", "\ufeff1 2 3", "1,2,3,4"]))
+    fields = [draw(_clean_id), draw(_clean_id), draw(_clean_rating)]
+    for k in draw(st.sets(st.integers(0, 2), min_size=1)):
+        fields[k] = draw(_wild_field)
+    f1, f2, f3 = fields
+    if draw(st.booleans()):
+        return f"{f1},{f2},{f3}"
+    return f"{f1}{draw(_sep)}{f2}{draw(_sep)}{f3}"
+
+
+@st.composite
+def _triple_file(draw, max_lines):
+    lines = draw(st.lists(_clean_line(), max_size=max_lines))
+    wild_lines = draw(st.sampled_from([0, 0, 0, 1, 2, 3]))
+    for wild in draw(st.lists(_wild_line(), min_size=wild_lines, max_size=wild_lines)):
+        lines.insert(draw(st.integers(0, len(lines))), wild)
+    ends = draw(st.lists(st.sampled_from(["\n", "\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if lines and draw(st.booleans()):
+        text = text[:-len(ends[-1])]  # no final newline
+    return text
+
+
+def _load_outcome(train, test, one_based):
+    """What load_triples gives: the tables and warnings, or the error and warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            b = load_triples(train, test, m=ORACLE_M, n=ORACLE_N, one_based=one_based)
+            result = [(str(c.dtype), c.tolist()) for t in (b.train, b.test)
+                      for c in (t.users, t.items, t.ratings, t.labels)]
+        except DataFormatError as e:
+            result = (type(e), str(e))
+    return result, [str(w.message) for w in caught]
+
+
+class TestParseTriplesOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(_triple_file(12), _triple_file(4), st.booleans(),
+           st.sampled_from([1, 2, 3, 5, 8, 1 << 17]))
+    @example("", "", False, 1)
+    @example("3 4 5\n4 0 1\n", "", False, 1)  # each side of each range edge
+    @example("0 5 1\n", "", False, 1)
+    @example("4 5 5\n0 1 1\n", "", True, 1)
+    @example("1 6 1\n", "", True, 1)
+    @example("1 1 0\n", "", True, 1)
+    @example("1 1 6\n", "", False, 1)
+    @example("0 0 3\n9999999999999999999 0 3\n", "", False, 1)  # 19 digits, over int64
+    @example("1 1 3\n\n", "", True, 1)
+    @example("0 0 3\n0 9 3\nx\n", "0 0 1", False, 2)  # a range error before a format error
+    @example("0 0 3\nx\n0 9 3\n", "0 0 1", False, 2)  # and after one
+    @example("0 0 3\r\n1234567890123456789 0 3\r\n0 0 7\r\n", "", False, 1)
+    @example("0 0 3\n0 0 7\r1 1 1234567890123456789\n", "", False, 3)
+    @example("0 0 4\n0 0 2\n1,1,3", "0\t0 1\n0 0 5", False, 2)  # duplicates in both files
+    def test_matches_the_per_line_parser(self, train_text, test_text, one_based, block):
+        with tempfile.TemporaryDirectory() as d:
+            train, test = Path(d) / "train.txt", Path(d) / "test.txt"
+            train.write_bytes(train_text.encode())
+            test.write_bytes(test_text.encode())
+            with mock.patch.object(D, "_parse_triple_file", _reference_parse_triple_file):
+                want = _load_outcome(train, test, one_based)
+            with mock.patch.object(D, "_BLOCK_BYTES", block):
+                got = _load_outcome(train, test, one_based)
+        assert got == want
+
+    def test_a_byte_that_is_not_utf8_names_its_line(self, tmp_path):
+        (tmp_path / "train.txt").write_bytes(b"0 0 4\r\n\n0 1 \xff\n0 9 9\n")
+        (tmp_path / "test.txt").write_text("0 0 2\n")
+        with pytest.raises(DataFormatError, match=r"train.txt:3: not UTF-8 text"):
+            load_triples(tmp_path / "train.txt", tmp_path / "test.txt", m=1, n=2)
+
+    def test_an_earlier_problem_wins_over_a_byte_that_is_not_utf8(self, tmp_path):
+        (tmp_path / "train.txt").write_bytes(b"0 0 4\n0 7 4\n0 1 \xff\n")
+        (tmp_path / "test.txt").write_text("0 0 2\n")
+        with pytest.raises(DataFormatError, match=r"train.txt:2: id \(0,7\) out of range"):
+            load_triples(tmp_path / "train.txt", tmp_path / "test.txt", m=1, n=2)
 
 
 def _exposure_reference(m, users, items):

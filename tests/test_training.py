@@ -55,6 +55,10 @@ class TestConfig:
         ({"hidden_layers": -1}, "hidden_layers must be >= 0"),
         ({"max_epochs": -1}, "max_epochs must be >= 0"),
         ({"patience": -1}, "patience must be >= 0"),
+        ({"weight_decay": -5.0}, "weight_decay must be >= 0"),
+        ({"learning_rate": 0.0}, "learning_rate must be positive"),
+        ({"learning_rate": -0.01}, "learning_rate must be positive"),
+        ({"loss_kind": "focal", "focal_gamma": -1.0}, "focal_gamma must be >= 0"),
     ])
     def test_train_rejects_values_it_cannot_run(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -65,6 +69,7 @@ class TestConfig:
     @pytest.mark.parametrize("kwargs", [
         {"propensity_source": "oracle"}, {"batch_size": 1}, {"embed_dim": 1},
         {"hidden_layers": 0}, {"max_epochs": 0}, {"patience": 0},
+        {"weight_decay": 0.0}, {"loss_kind": "focal", "focal_gamma": 0.0},
     ])
     def test_accepts_the_smallest_valid_values(self, kwargs):
         TrainConfig(**kwargs).validate()
