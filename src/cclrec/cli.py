@@ -37,22 +37,15 @@ def write_results(path, rows: list[dict]) -> None:
     if not rows:
         raise ValueError("no result rows")
     columns = list(rows[0].keys())
-    lines = ["\t".join(columns)]
-    for row in rows:
-        lines.append("\t".join(_fmt(row[c]) for c in columns))
-    for arm, agg_rows in aggregate(rows).items():
-        for row in agg_rows:
-            lines.append("\t".join(_fmt(row[c]) for c in columns))
+    every = rows + [row for pair in aggregate(rows).values() for row in pair]
+    lines = ["\t".join(columns)] + ["\t".join(_fmt(row[c]) for c in columns) for row in every]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def aggregate(rows: list[dict]) -> dict[str, list[dict]]:
     """Mean and std rows per arm, recomputable exactly from the per-seed rows."""
     out: dict[str, list[dict]] = {}
-    arms = []
-    for row in rows:
-        if row["arm"] not in arms:
-            arms.append(row["arm"])
+    arms = dict.fromkeys(row["arm"] for row in rows)  # first-seen order
     numeric = [c for c in rows[0] if c not in ("arm", "seed")]
     for arm in arms:
         group = [r for r in rows if r["arm"] == arm]
@@ -83,15 +76,10 @@ def load_bundle(args) -> DatasetBundle:
 
 
 def build_config(args) -> T.TrainConfig:
-    if getattr(args, "config", None):
-        cfg = T.TrainConfig.from_kv(Path(args.config).read_text())
-    else:
-        cfg = T.TrainConfig()
-    overrides = {}
-    for f in fields(T.TrainConfig):
-        v = getattr(args, f.name, None)
-        if v is not None:
-            overrides[f.name] = v
+    config = getattr(args, "config", None)
+    cfg = T.TrainConfig.from_kv(Path(config).read_text()) if config else T.TrainConfig()
+    overrides = {f.name: getattr(args, f.name) for f in fields(T.TrainConfig)
+                 if getattr(args, f.name, None) is not None}
     cfg = replace(cfg, **overrides)
     cfg.validate()
     return cfg
@@ -193,21 +181,16 @@ def main(argv=None) -> int:
     p = sub.add_parser("prepare", help="load a dataset and print its shape")
     _add_data_args(p)
 
-    p = sub.add_parser("train", help="train and evaluate over a seed list")
-    _add_data_args(p)
-    _add_train_args(p)
+    for name, text in (("train", "train and evaluate over a seed list"),
+                       ("ablate", "with-CCL vs without-CCL comparison"),
+                       ("sweep-samplers", "cf / ps / pop / no-ssl comparison")):
+        p = sub.add_parser(name, help=text)
+        _add_data_args(p)
+        _add_train_args(p)
 
     p = sub.add_parser("evaluate", help="evaluate a checkpoint")
     _add_data_args(p)
     p.add_argument("--checkpoint", required=True)
-
-    p = sub.add_parser("ablate", help="with-CCL vs without-CCL comparison")
-    _add_data_args(p)
-    _add_train_args(p)
-
-    p = sub.add_parser("sweep-samplers", help="cf / ps / pop / no-ssl comparison")
-    _add_data_args(p)
-    _add_train_args(p)
 
     p = sub.add_parser("simulate", help="generate a synthetic bundle to disk")
     p.add_argument("--num-users", type=int, default=500)
@@ -278,15 +261,12 @@ def _dispatch(args) -> int:
 
     if args.command == "train":
         run_experiment(bundle, config, seeds, out_dir)
-    elif args.command == "ablate":
-        rows = T.run_ablation(bundle, config, seeds)
+    else:
+        run, name = {"ablate": (T.run_ablation, "ablation.tsv"),
+                     "sweep-samplers": (T.run_sampler_sweep, "sampler_sweep.tsv")}[args.command]
+        rows = run(bundle, config, seeds)
         out_dir.mkdir(parents=True, exist_ok=True)
-        write_results(out_dir / "ablation.tsv", rows)
-        (out_dir / "config.txt").write_text(config.to_kv())
-    elif args.command == "sweep-samplers":
-        rows = T.run_sampler_sweep(bundle, config, seeds)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_results(out_dir / "sampler_sweep.tsv", rows)
+        write_results(out_dir / name, rows)
         (out_dir / "config.txt").write_text(config.to_kv())
     print(f"results written to {out_dir}")
     return 0

@@ -181,14 +181,11 @@ def _table_from_matrix(mat: np.ndarray, threshold: int) -> InteractionTable:
     return InteractionTable.from_lists(users, items, ratings, threshold)
 
 
-def _find_feature_file(directory: Path, kind: str) -> Optional[Path]:
-    candidates = [
-        directory / f"{kind}_features.ascii",
-        directory / "user_item_features" / f"{kind}_features.ascii",
-    ]
-    for c in candidates:
-        if c.exists():
-            return c
+def _read_feature_file(directory: Path, kind: str) -> Optional[FeatureTable]:
+    for path in (directory / f"{kind}_features.ascii",
+                 directory / "user_item_features" / f"{kind}_features.ascii"):
+        if path.exists():
+            return FeatureTable(kind, _read_int_matrix(path, max_value=1).astype(np.float64))
     return None
 
 
@@ -203,23 +200,10 @@ def load_coat(directory_path, threshold: int = DEFAULT_THRESHOLD) -> DatasetBund
     m, n = train_mat.shape
     train = _table_from_matrix(train_mat, threshold)
     test = _table_from_matrix(test_mat, threshold)
-    user_features = item_features = None
-    uf = _find_feature_file(directory, "user")
-    if uf is not None:
-        user_features = FeatureTable("user", _read_int_matrix(uf, max_value=1).astype(np.float64))
-    itf = _find_feature_file(directory, "item")
-    if itf is not None:
-        item_features = FeatureTable("item", _read_int_matrix(itf, max_value=1).astype(np.float64))
     return DatasetBundle(m=m, n=n, train=train, test=test,
                          exposure=ExposureMatrix(m, n, train),
-                         user_features=user_features, item_features=item_features)
-
-
-def serialize_matrix(table: InteractionTable, m: int, n: int) -> np.ndarray:
-    """Densify an interaction table back to the Coat matrix form."""
-    mat = np.zeros((m, n), dtype=np.int64)
-    mat[table.users, table.items] = table.ratings
-    return mat
+                         user_features=_read_feature_file(directory, "user"),
+                         item_features=_read_feature_file(directory, "item"))
 
 
 _SEPARATORS = ("\t", ",", None)  # None = any whitespace

@@ -30,8 +30,7 @@ class PopularityTable:
 
 def estimate_popularity(bundle: DatasetBundle, floor: float = POPULARITY_FLOOR) -> PopularityTable:
     """pop(i) = sqrt(count(i) / max_j count(j)); zero-count items get `floor`."""
-    counts = bundle.exposure.item_counts().astype(np.float64)
-    return popularity_from_counts(counts, floor)
+    return popularity_from_counts(bundle.exposure.item_counts(), floor)
 
 
 def popularity_from_counts(counts: np.ndarray, floor: float = POPULARITY_FLOOR) -> PopularityTable:

@@ -1,14 +1,15 @@
 """Training loop: multi-task objective L = L_rec + lambda * L_ccl.
 
-Fully seeded and bit-reproducible: a run saves the same bytes on a rerun
-and at any BLAS thread count (tests/test_blas_threads.py runs one at 1 and
-at 2 OpenBLAS threads). Supports plain log-loss, focal, IPS and SNIPS rating
-objectives, the three contrastive samplers, and early stopping on validation
-total loss.
+Fully seeded and bit-reproducible: a run saves the same bytes on a rerun,
+at any BLAS thread count and at any CPU count (tests/test_blas_threads.py
+runs at 1 and 2 OpenBLAS threads, and on one CPU and on all). Supports
+plain log-loss, focal, IPS and SNIPS rating objectives, the three
+contrastive samplers, and early stopping on validation total loss.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional
@@ -52,12 +53,12 @@ class TrainConfig:
     val_fraction: float = 0.1
 
     def validate(self) -> None:
-        if self.lam < 0:
-            raise ValueError("lam must be non-negative")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        for name in ("lam", "tau", "learning_rate", "weight_decay", "focal_gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("tau", "learning_rate"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         if self.sampler not in C.SAMPLER_KINDS:
             raise ValueError(f"unknown sampler {self.sampler!r}")
         if self.loss_kind not in ("log", "focal"):
@@ -66,9 +67,9 @@ class TrainConfig:
             raise ValueError(f"unknown rec objective {self.rec_objective!r}")
         if self.propensity_source not in ("auto", "lr", "nb", "oracle"):
             raise ValueError(f"unknown propensity source {self.propensity_source!r}")
-        for name, least in (("batch_size", 1), ("embed_dim", 1), ("hidden_layers", 0),
-                            ("max_epochs", 0), ("patience", 0), ("weight_decay", 0),
-                            ("focal_gamma", 0)):
+        for name, least in (("lam", 0), ("batch_size", 1), ("embed_dim", 1),
+                            ("hidden_layers", 0), ("max_epochs", 0), ("patience", 0),
+                            ("weight_decay", 0), ("focal_gamma", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if not (0 <= self.val_fraction < 1):
@@ -123,16 +124,18 @@ def batch_objective(params: M.ModelParams, users: np.ndarray, items: np.ndarray,
                     lam: float, tau: float,
                     pos_items: Optional[np.ndarray] = None,
                     loss_kind: str = "log", gamma: float = 0.0,
-                    cosine: bool = False):
+                    cosine: bool = False, grads: Optional[M.ModelParams] = None):
     """Total loss (rec + lam * ccl) and its exact gradient for one batch.
 
     The rec term is sum_k weights_k * delta_k over the anchor pairs; the
-    contrastive term consumes the interleaved concatenated embeddings.
+    contrastive term consumes the interleaved concatenated embeddings. The
+    gradient accumulates into `grads` when given (it must hold zeros).
     """
     batch = M.forward(params, users, items)
     per = M.per_sample_loss(batch.y, labels, loss_kind, gamma)
     rec = float((np.asarray(weights) * per).sum())
-    grads = M.backward(params, batch, labels, weights, loss_kind=loss_kind, gamma=gamma)
+    grads = M.backward(params, batch, labels, weights, loss_kind=loss_kind, gamma=gamma,
+                       grads=grads)
 
     cclv = 0.0
     if lam > 0 and pos_items is not None:
@@ -178,6 +181,7 @@ def train(bundle: DatasetBundle, config: TrainConfig,
     rng = np.random.default_rng(config.seed)
     params = M.init_params(bundle.m, bundle.n, config.embed_dim, config.hidden_layers, rng)
     state = M.AdamState.for_params(params)
+    grads = M.ModelParams.zeros_like(params)  # one buffer, cleared after every step
     report = TrainReport()
 
     train_part, val_part = holdout_split(bundle.train, config.val_fraction, seed=config.seed + 1)
@@ -211,7 +215,7 @@ def train(bundle: DatasetBundle, config: TrainConfig,
             total, rec, cclv, grads = batch_objective(
                 params, users, items, labels, weights, config.lam, config.tau,
                 pos_items=pos, loss_kind=config.loss_kind,
-                gamma=config.focal_gamma, cosine=config.cosine)
+                gamma=config.focal_gamma, cosine=config.cosine, grads=grads)
             if not np.isfinite(total):
                 raise FloatingPointError(
                     f"non-finite loss at epoch {report.epochs_run}, batch {n_batches}: "
@@ -219,6 +223,7 @@ def train(bundle: DatasetBundle, config: TrainConfig,
             grads.assert_finite()
             M.adam_step(params, grads, state, config.learning_rate,
                         weight_decay=config.weight_decay)
+            grads.flat.fill(0)
             sums += (rec, cclv, total)
             n_batches += 1
         report.rec_losses.append(sums[0] / n_batches)
@@ -226,14 +231,10 @@ def train(bundle: DatasetBundle, config: TrainConfig,
         report.total_losses.append(sums[2] / n_batches)
         report.epochs_run += 1
 
-        if len(val_part) == 0:
-            report.val_losses.append(float("nan"))
-            best_params = params.copy()
-            best_epoch = report.epochs_run - 1
-            continue
-        val_loss = _validation_loss(params, config, val_part, sampler, val_rng)
+        val_loss = (_validation_loss(params, config, val_part, sampler, val_rng)
+                    if len(val_part) else float("nan"))
         report.val_losses.append(val_loss)
-        if val_loss < best_val:
+        if len(val_part) == 0 or val_loss < best_val:  # without a split, the last epoch is best
             best_val = val_loss
             best_params = params.copy()
             best_epoch = report.epochs_run - 1

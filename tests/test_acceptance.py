@@ -159,10 +159,14 @@ def test_criterion_4_ips_snips_algebra():
     rng = np.random.default_rng(0)
     losses = rng.uniform(0, 1, 50)
     props = rng.uniform(0.1, 1.0, 50)
-    ok = abs(M.ips_loss(losses, np.ones(50)) - losses.mean()) < 1e-12
-    ref = M.snips_loss(losses, props)
+
+    def rec_loss(objective, p):  # the trainer's weighted rec objective
+        return float((M.rec_weights(objective, p, len(p)) * losses).sum())
+
+    ok = abs(rec_loss("ips", np.ones(50)) - losses.mean()) < 1e-12
+    ref = rec_loss("snips", props)
     for c in (0.1, 2.0, 10.0):
-        ok &= abs(M.snips_loss(losses, c * props) - ref) < 1e-12
+        ok &= abs(rec_loss("snips", c * props) - ref) < 1e-12
     verdict(4, "ips reduces to mean at P=1; snips invariant under P -> cP", ok)
 
 

@@ -1,16 +1,19 @@
-"""Runs give the same bytes at any BLAS thread count.
+"""Runs give the same bytes at any BLAS thread count and any CPU count.
 
-Each case runs the same script in two fresh interpreters, one with
+Each BLAS case runs the same script in two fresh interpreters, one with
 OPENBLAS_NUM_THREADS=1 and one with =2 (the variable is read when numpy
 loads, so it cannot change inside one process), and compares the SHA-256
 of what the script computed. On a one-core machine OpenBLAS caps the count
-at 1 and the case cannot fail.
+at 1 and the case cannot fail. The CPU case trains a model large enough for
+the split Adam step, once pinned to one CPU and once on all of them.
 """
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import cclrec
 
@@ -51,6 +54,28 @@ for cosine in (False, True):
 """
 
 
+# 8,200 + 100 embedding rows of d = 8: 66,689 parameters, above the Adam split
+# threshold; the first argument is how many CPUs the child keeps
+AFFINITY_SCRIPT = """
+import hashlib, os, sys
+cpus = sorted(os.sched_getaffinity(0))[:int(sys.argv[1])]
+os.sched_setaffinity(0, cpus)
+from cclrec import model as M
+from cclrec.simulate import SimConfig, generate
+from cclrec.training import TrainConfig, train
+
+bundle = generate(SimConfig(m=8200, n=100, exposures_per_user=4, test_exposures_per_user=2, seed=5),
+                  inclusion_draws=5).dataset
+params, _ = train(bundle, TrainConfig(lam=0.0, max_epochs=2, seed=0))
+assert params.flat.size >= M.ADAM_SPLIT_MIN
+assert M._adam_slices(params.flat.size) == len(cpus)
+path = sys.argv[2] + f"/cpus{len(cpus)}.bin"
+M.save_checkpoint(path, params)
+with open(path, "rb") as f:
+    print(hashlib.sha256(f.read()).hexdigest())
+"""
+
+
 def run_at(threads: int, script: str, *args: str) -> str:
     env = {k: v for k, v in os.environ.items() if k not in ("OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     env["OPENBLAS_NUM_THREADS"] = str(threads)
@@ -69,3 +94,11 @@ def test_ccl_checkpoint_bytes_do_not_depend_on_thread_count(tmp_path):
     hashes = run_at(1, TRAIN_SCRIPT, str(tmp_path))
     assert len(hashes.split()) == 2  # cosine off and on
     assert hashes == run_at(2, TRAIN_SCRIPT, str(tmp_path))
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs at least 2 CPUs")
+def test_split_adam_checkpoint_bytes_do_not_depend_on_cpu_count(tmp_path):
+    cpus = len(os.sched_getaffinity(0))
+    one = run_at(1, AFFINITY_SCRIPT, "1", str(tmp_path))
+    assert len(one.split()) == 1
+    assert one == run_at(1, AFFINITY_SCRIPT, str(cpus), str(tmp_path))

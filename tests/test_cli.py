@@ -158,6 +158,9 @@ class TestExitCodes:
         ("weight_decay = -5", "weight_decay must be >= 0"),
         ("learning_rate = 0", "learning_rate must be positive"),
         ("focal_gamma = -1", "focal_gamma must be >= 0"),
+        ("learning_rate = nan", "learning_rate must be finite, got nan"),
+        ("tau = inf", "tau must be finite, got inf"),
+        ("weight_decay = -inf", "weight_decay must be finite, got -inf"),
     ])
     def test_config_file_value_that_train_cannot_run(self, triple_dir, tmp_path, capsys,
                                                       line, message):

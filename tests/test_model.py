@@ -1,3 +1,8 @@
+import json
+import multiprocessing
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -107,44 +112,56 @@ class TestLosses:
             mean_loss([0.5], [1], "focal", -1.0)
 
 
+def ips_loss(per_sample_losses, propensities):
+    """Mean of delta_k / P_k over observed samples, through the trainer's weights."""
+    weights = M.rec_weights("ips", propensities, len(propensities))
+    return float((weights * np.asarray(per_sample_losses)).sum())
+
+
+def snips_loss(per_sample_losses, propensities):
+    """(sum delta/P) / (sum 1/P), through the trainer's weights."""
+    weights = M.rec_weights("snips", propensities, len(propensities))
+    return float((weights * np.asarray(per_sample_losses)).sum())
+
+
 class TestIPSAndSNIPS:
     def test_ips_hand_value(self):
-        assert M.ips_loss([0.6], [0.5]) == pytest.approx(1.2)
+        assert ips_loss([0.6], [0.5]) == pytest.approx(1.2)
 
     def test_ips_unit_propensity_is_mean(self):
         losses = np.array([0.2, 0.4, 0.9])
-        assert M.ips_loss(losses, np.ones(3)) == pytest.approx(losses.mean())
+        assert ips_loss(losses, np.ones(3)) == pytest.approx(losses.mean())
 
     def test_ips_scales_inversely(self):
         losses = np.array([0.3, 0.7])
         p = np.array([0.4, 0.8])
-        assert M.ips_loss(losses, 0.5 * p) == pytest.approx(2 * M.ips_loss(losses, p))
+        assert ips_loss(losses, 0.5 * p) == pytest.approx(2 * ips_loss(losses, p))
 
     def test_ips_zero_propensity(self):
         with pytest.raises(ValueError):
-            M.ips_loss([0.5], [0.0])
+            ips_loss([0.5], [0.0])
 
     def test_snips_single_sample(self):
-        assert M.snips_loss([0.6], [0.123]) == pytest.approx(0.6)
+        assert snips_loss([0.6], [0.123]) == pytest.approx(0.6)
 
     def test_snips_hand_value(self):
-        assert M.snips_loss([1.0, 0.0], [0.5, 1.0]) == pytest.approx(2 / 3)
+        assert snips_loss([1.0, 0.0], [0.5, 1.0]) == pytest.approx(2 / 3)
 
     @pytest.mark.parametrize("c", [0.1, 2.0, 10.0])
     def test_snips_scale_invariant(self, c):
         rng = np.random.default_rng(1)
         losses = rng.uniform(0, 1, 10)
         p = rng.uniform(0.1, 1, 10)
-        assert M.snips_loss(losses, c * p) == pytest.approx(
-            M.snips_loss(losses, p), abs=1e-12)
+        assert snips_loss(losses, c * p) == pytest.approx(
+            snips_loss(losses, p), abs=1e-12)
 
 
 class TestRecWeights:
     def test_ips_and_snips_wrappers_use_the_weights(self):
         losses = np.array([0.3, 0.7, 0.2])
         p = np.array([0.4, 0.8, 0.5])
-        assert M.ips_loss(losses, p) == float((M.rec_weights("ips", p, 3) * losses).sum())
-        assert M.snips_loss(losses, p) == float((M.rec_weights("snips", p, 3) * losses).sum())
+        assert ips_loss(losses, p) == float((M.rec_weights("ips", p, 3) * losses).sum())
+        assert snips_loss(losses, p) == float((M.rec_weights("snips", p, 3) * losses).sum())
         assert M.rec_weights("plain", None, 4).tolist() == [0.25] * 4
 
     @pytest.mark.parametrize("objective", ["log", "focal", "dr"])
@@ -309,6 +326,169 @@ class TestAdam:
         with pytest.raises(ValueError):
             M.adam_step(small_params, M.ModelParams.zeros_like(small_params),
                         M.AdamState.for_params(small_params), lr=0.0)
+
+
+def reference_adam_step(params, grads, m, v, scratch, t, lr, b1=0.9, b2=0.999, eps=1e-8,
+                        weight_decay=0.0):
+    """The per-array Adam step that came before the packed vector, pass for pass."""
+    c1 = 1.0 - b1 ** t
+    c2 = 1.0 - b2 ** t
+    for p, g, mi, vi, (s, r) in zip(params.flat_arrays(), grads.flat_arrays(), m, v, scratch):
+        mi *= b1
+        mi += np.multiply(1 - b1, g, out=s)
+        vi *= b2
+        np.multiply(1 - b2, g, out=s)
+        vi += np.multiply(s, g, out=s)
+        if weight_decay:
+            p -= np.multiply(lr * weight_decay, p, out=s)
+        np.divide(mi, c1, out=s)
+        np.multiply(lr, s, out=s)
+        np.divide(vi, c2, out=r)
+        np.sqrt(r, out=r)
+        r += eps
+        p -= np.divide(s, r, out=s)
+
+
+def params_of_size(size, rng):
+    """Parameters with `size` elements in all: a tall user table, one item row, one layer."""
+    return M.ModelParams(rng.normal(size=(size - 4, 1)), rng.normal(size=(1, 1)),
+                         [(rng.normal(size=(2, 1)), rng.normal(size=1))])
+
+
+def assert_adam_matches_reference(params, weight_decay, steps=30):
+    rng = np.random.default_rng(11)
+    want = params.copy()
+    state = M.AdamState.for_params(params)
+    m = [np.zeros_like(a) for a in want.flat_arrays()]
+    v = [np.zeros_like(a) for a in want.flat_arrays()]
+    scratch = [(np.zeros_like(a), np.zeros_like(a)) for a in want.flat_arrays()]
+    for t in range(1, steps + 1):
+        grads = M.ModelParams.zeros_like(params)
+        g = rng.normal(size=grads.flat.size)
+        g[rng.random(g.size) < 0.3] = 0.0  # rows a batch does not touch
+        g[rng.random(g.size) < 0.1] = -0.0
+        grads.flat[:] = g
+        before = grads.flat.copy()
+        M.adam_step(params, grads, state, lr=3e-2, weight_decay=weight_decay)
+        reference_adam_step(want, grads, m, v, scratch, t, lr=3e-2, weight_decay=weight_decay)
+        assert np.array_equal(grads.flat, before) and (np.signbit(grads.flat) == np.signbit(before)).all()
+    assert state.t == steps
+    assert np.array_equal(params.flat, want.flat)
+    assert np.array_equal(state.m.flat, np.concatenate([a.ravel() for a in m]))
+    assert np.array_equal(state.v.flat, np.concatenate([a.ravel() for a in v]))
+
+
+class TestAdamSplit:
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+    @pytest.mark.parametrize("slices", [1, 2, 3, 4, 5])
+    def test_any_slice_count_equals_the_per_array_step(self, monkeypatch, slices, weight_decay):
+        monkeypatch.setattr(M, "_adam_slices", lambda size: slices)
+        params = M.init_params(301, 47, 4, 1, np.random.default_rng(slices))
+        assert_adam_matches_reference(params, weight_decay)
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_sizes_at_the_split_threshold_equal_the_per_array_step(self, offset, weight_decay):
+        size = M.ADAM_SPLIT_MIN + offset
+        cpus = len(os.sched_getaffinity(0))
+        assert M._adam_slices(size) == (1 if offset < 0 else cpus)
+        assert_adam_matches_reference(params_of_size(size, np.random.default_rng(5)), weight_decay)
+
+    def test_pool_has_no_more_threads_than_cpus(self, monkeypatch):
+        monkeypatch.setattr(M, "_adam_slices", lambda size: 5)
+        params = M.init_params(30, 10, 2, 1, np.random.default_rng(0))
+        M.adam_step(params, M.ModelParams.zeros_like(params), M.AdamState.for_params(params), 1e-2)
+        assert M._adam_pool._max_workers == max(1, len(os.sched_getaffinity(0)) - 1)
+        names = [t.name for t in threading.enumerate() if t.name.startswith("cclrec-adam")]
+        assert 1 <= len(names) <= M._adam_pool._max_workers
+
+    def test_forked_child_starts_its_own_pool(self, monkeypatch):
+        monkeypatch.setattr(M, "_adam_slices", lambda size: 2)
+        params = M.init_params(30, 10, 2, 1, np.random.default_rng(0))
+        state = M.AdamState.for_params(params)
+        M.adam_step(params, M.ModelParams.zeros_like(params), state, 1e-2)
+        assert M._adam_pool is not None
+
+        def child():
+            assert M._adam_pool is None
+            M.adam_step(params, M.ModelParams.zeros_like(params), state, 1e-2)
+
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        proc.join(timeout=60)
+        hung = proc.is_alive()
+        if hung:
+            proc.kill()
+            proc.join()
+        assert not hung and proc.exitcode == 0
+
+    def test_sim_model_stays_serial(self):
+        params = M.init_params(500, 100, 8, 1, np.random.default_rng(0))
+        assert params.flat.size < M.ADAM_SPLIT_MIN
+        assert M._adam_slices(params.flat.size) == 1
+
+
+class TestPacking:
+    def test_fields_are_views_into_flat_in_order(self, small_params):
+        flat = small_params.flat
+        assert flat.dtype == np.float64 and flat.flags.c_contiguous and flat.flags.owndata
+        offset = 0
+        for a in small_params.flat_arrays():
+            assert np.shares_memory(a, flat)
+            assert a.ctypes.data == flat.ctypes.data + 8 * offset
+            offset += a.size
+        assert offset == flat.size
+        assert np.array_equal(np.concatenate([a.ravel() for a in small_params.flat_arrays()]), flat)
+
+    def test_write_through_a_field_shows_in_flat(self, small_params):
+        W, b = small_params.layers[-1]
+        b[0] = 7.5
+        W[1, 0] = -2.25
+        small_params.user_embeddings[2, 3] = 4.0
+        offset_b = small_params.flat.size - 1
+        offset_w = offset_b - W.size + 1
+        assert small_params.flat[offset_b] == 7.5
+        assert small_params.flat[offset_w] == -2.25
+        assert small_params.flat[2 * 4 + 3] == 4.0
+
+    def test_constructor_packs_copies_of_its_arrays(self):
+        user, item = np.ones((2, 1)), np.full((3, 1), 2.0)
+        layers = [(np.full((2, 1), 3.0), np.array([4.0]))]
+        params = M.ModelParams(user, item, layers)
+        assert params.flat.tolist() == [1, 1, 2, 2, 2, 3, 3, 4]
+        user[0, 0] = 9.0
+        assert params.user_embeddings[0, 0] == 1.0
+        assert [a.shape for a in params.flat_arrays()] == [(2, 1), (3, 1), (2, 1), (1,)]
+
+    def test_copy_and_zeros_like_own_separate_buffers(self, small_params):
+        for other in (small_params.copy(), M.ModelParams.zeros_like(small_params)):
+            assert not np.shares_memory(other.flat, small_params.flat)
+            assert other.shapes == small_params.shapes
+            for a in other.flat_arrays():
+                assert np.shares_memory(a, other.flat)
+        copy = small_params.copy()
+        assert np.array_equal(copy.flat, small_params.flat)
+        copy.layers[0][0][0, 0] += 1.0
+        assert copy.layers[0][0][0, 0] != small_params.layers[0][0][0, 0]
+        assert not M.ModelParams.zeros_like(small_params).flat.any()
+
+    def test_checkpoint_bytes_are_the_header_and_each_array(self, small_params, tmp_path):
+        M.save_checkpoint(tmp_path / "c.bin", small_params)
+        header = {"activation": "relu", "d": 4, "m": 4, "n": 4, "widths": [8, 1]}
+        want = (json.dumps(header, sort_keys=True) + "\n").encode()
+        want += b"".join(a.tobytes() for a in small_params.flat_arrays())
+        assert (tmp_path / "c.bin").read_bytes() == want
+        loaded = M.load_checkpoint(tmp_path / "c.bin")
+        assert loaded.flat.flags.owndata and loaded.flat.flags.writeable
+        assert loaded.shapes == small_params.shapes
+
+    def test_assert_finite_checks_every_array(self, small_params):
+        small_params.assert_finite()
+        for i in range(len(small_params.flat_arrays())):
+            bad = small_params.copy()
+            bad.flat_arrays()[i].flat[-1] = np.nan if i % 2 else np.inf
+            with pytest.raises(FloatingPointError):
+                bad.assert_finite()
 
 
 class TestCheckpoint:

@@ -59,6 +59,17 @@ class TestConfig:
         ({"learning_rate": 0.0}, "learning_rate must be positive"),
         ({"learning_rate": -0.01}, "learning_rate must be positive"),
         ({"loss_kind": "focal", "focal_gamma": -1.0}, "focal_gamma must be >= 0"),
+        ({"lam": float("nan")}, "lam must be finite, got nan"),
+        ({"lam": float("inf")}, "lam must be finite, got inf"),
+        ({"tau": float("nan")}, "tau must be finite, got nan"),
+        ({"tau": float("inf")}, "tau must be finite, got inf"),
+        ({"learning_rate": float("nan")}, "learning_rate must be finite, got nan"),
+        ({"learning_rate": float("inf")}, "learning_rate must be finite, got inf"),
+        ({"weight_decay": float("nan")}, "weight_decay must be finite, got nan"),
+        ({"weight_decay": float("inf")}, "weight_decay must be finite, got inf"),
+        ({"loss_kind": "focal", "focal_gamma": float("nan")}, "focal_gamma must be finite, got nan"),
+        ({"loss_kind": "focal", "focal_gamma": float("inf")}, "focal_gamma must be finite, got inf"),
+        ({"lam": float("-inf")}, "lam must be finite, got -inf"),
     ])
     def test_train_rejects_values_it_cannot_run(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -247,6 +258,33 @@ class TestTrain:
                           learning_rate=5e-2, patience=6, val_fraction=0.25, seed=2)
         params, rep = train(b, cfg)
         assert rep.best_epoch <= rep.epochs_run - 1
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    def test_one_gradient_buffer_equals_a_fresh_one_per_batch(self, monkeypatch, lam):
+        b = toy_bundle(m=12, n=10, per_user=6, seed=4)
+        cfg = TrainConfig(lam=lam, max_epochs=3, batch_size=16, embed_dim=4, patience=10, seed=5)
+        buffers = []
+        adam_step = M.adam_step
+        monkeypatch.setattr(M, "adam_step", lambda p, g, *a, **k: (buffers.append(g),
+                                                                    adam_step(p, g, *a, **k)))
+        got, _ = train(b, cfg)
+        assert len(buffers) == 3 * 5 and all(g is buffers[0] for g in buffers)
+        assert not buffers[0].flat.any()  # cleared after the last step
+        # the reference: backward allocates a new zero buffer for every batch
+        backward = M.backward
+        monkeypatch.setattr(M, "backward", lambda *a, grads=None, **k: backward(*a, **k))
+        want, _ = train(b, cfg)
+        assert got.flat.tobytes() == want.flat.tobytes()
+
+    def test_without_a_validation_split_the_last_epoch_is_best(self):
+        b = toy_bundle()
+        cfg = TrainConfig(lam=0.0, max_epochs=4, batch_size=8, embed_dim=4, patience=0,
+                          val_fraction=0.0, seed=0)
+        params, rep = train(b, cfg)
+        assert rep.epochs_run == 4 and rep.best_epoch == 3
+        assert len(rep.val_losses) == 4 and np.isnan(rep.val_losses).all()
+        longer, _ = train(b, TrainConfig(**{**vars(cfg), "max_epochs": 5}))
+        assert params.flat.tobytes() != longer.flat.tobytes()
 
     def test_empty_train_rejected(self):
         empty = InteractionTable.from_lists((), (), ())
