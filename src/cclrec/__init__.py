@@ -11,7 +11,6 @@ from cclrec.data import (
     ExposureMatrix,
     FeatureTable,
     InteractionTable,
-    binarize,
     holdout_split,
     load_coat,
     load_triples,
@@ -20,7 +19,6 @@ from cclrec.data import (
 from cclrec.propensity import (
     PopularityTable,
     PropensityTable,
-    clip_propensity,
     estimate_popularity,
     estimate_propensity_lr,
     estimate_propensity_nb,
@@ -32,14 +30,12 @@ __all__ = [
     "ExposureMatrix",
     "FeatureTable",
     "InteractionTable",
-    "binarize",
     "holdout_split",
     "load_coat",
     "load_triples",
     "unexposed_items",
     "PopularityTable",
     "PropensityTable",
-    "clip_propensity",
     "estimate_popularity",
     "estimate_propensity_lr",
     "estimate_propensity_nb",

@@ -59,10 +59,18 @@ def aggregate(rows: list[dict]) -> dict[str, list[dict]]:
     return out
 
 
+def _require(args, *names: str) -> None:
+    for name in names:
+        if getattr(args, name) is None:
+            raise ValueError(f"--dataset {args.dataset} needs --{name.replace('_', '-')}")
+
+
 def load_bundle(args) -> DatasetBundle:
     if args.dataset == "coat":
+        _require(args, "data_dir")
         return load_coat(args.data_dir)
     if args.dataset == "triples":
+        _require(args, "data_dir", "num_users", "num_items")
         return load_triples(Path(args.data_dir) / "train.txt",
                             Path(args.data_dir) / "test.txt",
                             m=args.num_users, n=args.num_items,

@@ -27,13 +27,6 @@ class DataFormatError(ValueError):
     """Malformed input file (bad row width, non-integer cell, bad rating)."""
 
 
-def binarize(rating: int, threshold: int = DEFAULT_THRESHOLD) -> int:
-    """Map a 1..5 rating to a binary label: 1 iff rating >= threshold."""
-    if rating < 1 or rating > 5:
-        raise ValueError(f"rating must be in 1..5, got {rating} (0 means unobserved; filter first)")
-    return 1 if rating >= threshold else 0
-
-
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a

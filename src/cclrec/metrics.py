@@ -3,7 +3,9 @@
 Each user is ranked over their own test items (the MNAR evaluation
 protocol these datasets were built for), score descending with item-index
 ascending tie-break. Users without a relevant test item contribute 0 to
-the ranking means and are counted in the report.
+the ranking means and are counted in the report. `ranking_metrics` holds
+the one implementation of every ranking metric; `ranking_report` adds the
+pooled MAE and AUC.
 """
 
 from __future__ import annotations
@@ -15,13 +17,6 @@ from scipy.stats import rankdata
 
 from cclrec.data import DatasetBundle
 from cclrec.model import ModelParams, forward
-
-
-@dataclass
-class RankedList:
-    user: int
-    items: np.ndarray  # ordered by descending predicted score
-    relevance: np.ndarray  # binary, aligned with items
 
 
 @dataclass
@@ -65,32 +60,6 @@ def auc(predictions, labels) -> float:
     return float((ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
 
 
-def ndcg_at_k(ranked: RankedList, k: int) -> float:
-    rel = ranked.relevance
-    if rel.sum() == 0:
-        return 0.0
-    discounts = 1.0 / np.log2(np.arange(2, k + 2))
-    dcg = float((rel[:k] * discounts[:len(rel[:k])]).sum())
-    ideal = np.sort(rel)[::-1]
-    idcg = float((ideal[:k] * discounts[:len(ideal[:k])]).sum())
-    return dcg / idcg
-
-
-def recall_at_k(ranked: RankedList, k: int) -> float:
-    rel = ranked.relevance
-    total = rel.sum()
-    if total == 0:
-        return 0.0
-    return float(rel[:k].sum() / total)
-
-
-def mrr(ranked: RankedList) -> float:
-    hits = np.nonzero(ranked.relevance)[0]
-    if len(hits) == 0:
-        return 0.0
-    return 1.0 / (hits[0] + 1)
-
-
 def gini(counts) -> float:
     """Gini coefficient of item-exposure counts; 0 = perfectly equitable."""
     x = np.sort(np.asarray(counts, dtype=np.float64))
@@ -100,21 +69,6 @@ def gini(counts) -> float:
         raise ValueError("all counts are zero")
     i = np.arange(1, n + 1)
     return float(((2 * i - n - 1) * x).sum() / (n * total))
-
-
-def global_utility(ranked_lists: list[RankedList], k: int) -> float:
-    """Mean precision@k over the evaluated users."""
-    if not ranked_lists:
-        return 0.0
-    hits = sum(float(r.relevance[:k].sum()) for r in ranked_lists)
-    return hits / (len(ranked_lists) * k)
-
-
-def rank_user(user: int, items: np.ndarray, scores: np.ndarray,
-              relevance: np.ndarray) -> RankedList:
-    """Score-descending order with ascending item index on ties."""
-    order = np.lexsort((items, -scores))
-    return RankedList(user, items[order], relevance[order])
 
 
 def _row_prefix_sums(values: np.ndarray, widths: np.ndarray) -> np.ndarray:
@@ -131,12 +85,14 @@ def _row_prefix_sums(values: np.ndarray, widths: np.ndarray) -> np.ndarray:
     return out
 
 
-def ranking_report(users: np.ndarray, items: np.ndarray, scores: np.ndarray,
-                   labels: np.ndarray, n_items: int, gini_k: int = 5) -> MetricsReport:
-    """The metric suite from one sort of the rows by (user, score descending, item).
+def ranking_metrics(users: np.ndarray, items: np.ndarray, scores: np.ndarray,
+                    labels: np.ndarray, n_items: int, k: int = 5) -> dict:
+    """The MetricsReport fields that need the ranking, from one sort of the rows
+    by (user, score descending, item).
 
-    Each ranking metric is a reduction over user segments of the sorted rows
-    and equals, bit for bit, the mean of the single-list functions above.
+    Each metric is a reduction over the users' segments of the sorted rows;
+    `k` is the cut-off of Gini and global utility. No AUC is computed, so a
+    table with one label class is accepted.
     """
     if len(users) == 0:
         raise ValueError("empty test table")
@@ -167,25 +123,31 @@ def ranking_report(users: np.ndarray, items: np.ndarray, scores: np.ndarray,
 
     hit = rel != 0
     hit_seg, hit_pos = seg[hit], pos[hit]
-    first = np.r_[True, hit_seg[1:] != hit_seg[:-1]]
+    first = np.ones(len(hit_seg), dtype=bool)  # first hit of each user with one
+    first[1:] = hit_seg[1:] != hit_seg[:-1]
     reciprocal_rank = np.zeros(n_users)
     reciprocal_rank[hit_seg[first]] = 1.0 / (hit_pos[first] + 1)
 
-    shown = pos < gini_k
+    shown = pos < k
     exposure_counts = np.bincount(ranked_items[shown], minlength=n_items)
-    return MetricsReport(
-        mae=mae(scores, labels),
-        auc=auc(scores, labels),
+    return dict(
         ndcg5=float(np.mean(ndcg(5))),
         ndcg10=float(np.mean(ndcg(10))),
         recall1=float(np.mean(recall(1))),
         recall5=float(np.mean(recall(5))),
         mrr=float(np.mean(reciprocal_rank)),
         gini=gini(exposure_counts) if exposure_counts.sum() > 0 else 0.0,
-        global_utility=float(rel[shown].sum()) / (n_users * gini_k),
+        global_utility=float(rel[shown].sum()) / (n_users * k),
         users_evaluated=n_users,
         users_without_relevant=int((~has_rel).sum()),
     )
+
+
+def ranking_report(users: np.ndarray, items: np.ndarray, scores: np.ndarray,
+                   labels: np.ndarray, n_items: int, gini_k: int = 5) -> MetricsReport:
+    """The metric suite: the ranking metrics plus MAE and AUC pooled over all rows."""
+    ranking = ranking_metrics(users, items, scores, labels, n_items, gini_k)
+    return MetricsReport(mae=mae(scores, labels), auc=auc(scores, labels), **ranking)
 
 
 def evaluate(params: ModelParams, bundle: DatasetBundle, gini_k: int = 5) -> MetricsReport:

@@ -60,6 +60,8 @@ class PropensityTable:
                  label_grid: Optional[np.ndarray] = None):
         if (dense is None) == (class_probs is None):
             raise ValueError("exactly one of dense / class_probs must be given")
+        if not (0 < floor < 1):
+            raise ValueError(f"floor must be in (0, 1), got {floor}")
         self.m = m
         self.n = n
         self.floor = floor
@@ -106,16 +108,6 @@ class PropensityTable:
     def row(self, user: int) -> np.ndarray:
         """Length-n propensity vector for one user."""
         return self.rows([user])[0]
-
-
-def clip_propensity(table: PropensityTable, floor: float) -> PropensityTable:
-    """Re-clip a table to [floor, 1]."""
-    if not (0 < floor < 1):
-        raise ValueError(f"floor must be in (0, 1), got {floor}")
-    if table.kind == "dense":
-        return PropensityTable(table.m, table.n, floor, dense=np.clip(table.dense, floor, 1.0))
-    return PropensityTable(table.m, table.n, floor, class_probs=table.class_probs,
-                           marginal=table.marginal, label_grid=table.label_grid)
 
 
 def estimate_propensity_nb(train: InteractionTable, mcar: InteractionTable,
@@ -239,13 +231,16 @@ def load_table(path):
     values = np.frombuffer(raw, dtype=np.float64, count=n_values).copy()
     if kind == "popularity":
         return PopularityTable(values)
-    if kind == "dense":
-        return PropensityTable(m, n, floor, dense=values.reshape(m, n))
     grid = None
-    if grid_bytes:
+    if kind == "per-class" and grid_bytes:
         # frombuffer over bytes is read-only, like the grid the estimator builds
         grid = np.frombuffer(raw, dtype=np.int8, offset=24).reshape(m, n)
         if ((grid < -1) | (grid > 1)).any():
             raise DataFormatError(f"{path}: label grid holds a byte outside {{-1, 0, 1}}")
-    return PropensityTable(m, n, floor, class_probs=(values[0], values[1]),
-                           marginal=values[2], label_grid=grid)
+    try:
+        if kind == "dense":
+            return PropensityTable(m, n, floor, dense=values.reshape(m, n))
+        return PropensityTable(m, n, floor, class_probs=(values[0], values[1]),
+                               marginal=values[2], label_grid=grid)
+    except ValueError as e:  # the constructor's floor check
+        raise DataFormatError(f"{path}: {e}") from e

@@ -18,10 +18,7 @@ from cclrec import model as M
 from cclrec import training as T
 from cclrec.contrastive import CCLBatch, ccl_loss
 from cclrec.data import load_coat
-from cclrec.metrics import (
-    RankedList, auc, evaluate, gini, global_utility, mae, mrr, ndcg_at_k,
-    recall_at_k,
-)
+from cclrec.metrics import auc, evaluate, gini, mae, ranking_metrics
 from cclrec.propensity import PropensityTable
 from cclrec.simulate import SimConfig, generate, oracle_propensities
 from cclrec.training import TrainConfig, batch_objective, train
@@ -124,8 +121,11 @@ def test_criterion_3_metric_examples():
     tol = 1e-9
 
     def r(rel):
-        rel = np.asarray(rel)
-        return RankedList(0, np.arange(len(rel)), rel)
+        # the reductions evaluate runs, on a one-user table: items in list
+        # order, scores strictly descending
+        items = np.arange(len(rel))
+        return ranking_metrics(np.zeros_like(items), items, -items.astype(np.float64),
+                               np.asarray(rel, dtype=np.int64), len(rel))
 
     checks = [
         abs(mae([0.3], [1]) - 0.7) < tol,
@@ -134,21 +134,21 @@ def test_criterion_3_metric_examples():
         auc([0.9, 0.8, 0.1], [1, 1, 0]) == 1.0,
         abs(auc([0.5, 0.5, 0.5], [1, 0, 1]) - 0.5) < tol,
         abs(auc([0.9, 0.8, 0.3], [1, 0, 1]) - 0.5) < tol,
-        abs(ndcg_at_k(r([1, 0, 0, 0, 0]), 5) - 1.0) < tol,
-        abs(ndcg_at_k(r([0, 1, 0, 0, 0]), 5) - 1 / np.log2(3)) < tol,
-        ndcg_at_k(r([0, 0, 0]), 5) == 0.0,
-        recall_at_k(r([1, 0, 0]), 1) == 1.0,
-        abs(recall_at_k(r([1, 0, 1]), 1) - 0.5) < tol,
-        recall_at_k(r([0, 0, 1]), 2) == 0.0,
-        mrr(r([1, 0, 0])) == 1.0,
-        abs(mrr(r([0, 0, 1])) - 1 / 3) < tol,
-        mrr(r([0, 0, 0])) == 0.0,
+        abs(r([1, 0, 0, 0, 0])["ndcg5"] - 1.0) < tol,
+        abs(r([0, 1, 0, 0, 0])["ndcg5"] - 1 / np.log2(3)) < tol,
+        r([0, 0, 0])["ndcg5"] == 0.0,
+        r([1, 0, 0])["recall1"] == 1.0,
+        abs(r([1, 0, 1])["recall1"] - 0.5) < tol,
+        r([0, 0, 0, 0, 0, 1])["recall5"] == 0.0,
+        r([1, 0, 0])["mrr"] == 1.0,
+        abs(r([0, 0, 1])["mrr"] - 1 / 3) < tol,
+        r([0, 0, 0])["mrr"] == 0.0,
         abs(gini([3, 3, 3, 3])) < tol,
         abs(gini([0, 0, 0, 4]) - 0.75) < tol,
         abs(gini([1, 3]) - 0.25) < tol,
-        global_utility([r([1] * 5)], 5) == 1.0,
-        abs(global_utility([r([1, 0, 1, 0, 0])], 5) - 0.4) < tol,
-        global_utility([r([0] * 5)], 5) == 0.0,
+        r([1] * 5)["global_utility"] == 1.0,
+        abs(r([1, 0, 1, 0, 0])["global_utility"] - 0.4) < tol,
+        r([0] * 5)["global_utility"] == 0.0,
     ]
     elapsed = time.perf_counter() - start
     verdict(3, f"{sum(checks)}/{len(checks)} metric examples at 1e-9 "

@@ -116,6 +116,16 @@ class TestExitCodes:
                      "--num-users", "5", "--num-items", "5"])
         assert code == 3
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["--dataset", "coat"], "--data-dir"),
+        (["--dataset", "triples", "--num-users", "5", "--num-items", "5"], "--data-dir"),
+        (["--dataset", "triples", "--data-dir", "d", "--num-items", "5"], "--num-users"),
+        (["--dataset", "triples", "--data-dir", "d", "--num-users", "5"], "--num-items"),
+    ])
+    def test_missing_data_flag(self, capsys, argv, flag):
+        assert main(["prepare", *argv]) == 2
+        assert f"config error: --dataset {argv[1]} needs {flag}" in capsys.readouterr().err
+
     def test_malformed_data(self, tmp_path):
         (tmp_path / "train.txt").write_text("broken\n")
         (tmp_path / "test.txt").write_text("0 0 5\n")

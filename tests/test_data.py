@@ -12,12 +12,17 @@ from cclrec.data import (
     DataFormatError,
     ExposureMatrix,
     InteractionTable,
-    binarize,
     holdout_split,
     load_coat,
     load_triples,
     unexposed_items,
 )
+
+
+def test_every_exported_name_resolves():
+    import cclrec
+    missing = [name for name in cclrec.__all__ if not hasattr(cclrec, name)]
+    assert missing == []
 
 
 def write_coat_dir(tmp_path, train, test):
@@ -36,22 +41,22 @@ def tiny_coat(tmp_path):
 
 
 class TestBinarize:
-    def test_threshold_boundary(self):
-        assert binarize(3) == 1
-        assert binarize(2) == 0
-        assert binarize(5) == 1
+    """The label rule every loader applies, through InteractionTable.from_lists."""
 
-    def test_unobserved_rejected(self):
-        with pytest.raises(ValueError):
-            binarize(0)
+    @staticmethod
+    def labels(ratings, **kw):
+        n = len(ratings)
+        return InteractionTable.from_lists(np.zeros(n), np.arange(n), ratings, **kw).labels.tolist()
+
+    def test_threshold_boundary(self):
+        assert self.labels([3, 2, 5]) == [1, 0, 1]
 
     def test_monotone(self):
-        labels = [binarize(r) for r in range(1, 6)]
+        labels = self.labels(range(1, 6))
         assert labels == sorted(labels)
 
     def test_custom_threshold(self):
-        assert binarize(2, threshold=2) == 1
-        assert binarize(1, threshold=2) == 0
+        assert self.labels([2, 1], threshold=2) == [1, 0]
 
 
 class TestLoadCoat:

@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -5,26 +7,75 @@ from hypothesis import given, strategies as st
 from cclrec.data import DatasetBundle, ExposureMatrix, InteractionTable
 from cclrec.metrics import (
     MetricsReport,
-    RankedList,
     auc,
     evaluate,
     gini,
-    global_utility,
     mae,
-    mrr,
-    ndcg_at_k,
-    rank_user,
+    ranking_metrics,
     ranking_report,
-    recall_at_k,
 )
 from cclrec.model import init_params
 
 TOL = 1e-9
 
 
-def ranked(relevance):
-    rel = np.asarray(relevance)
-    return RankedList(0, np.arange(len(rel)), rel)
+def ranked_lists(*relevances):
+    """ranking_metrics of one user per list, items in list order, scores strictly descending."""
+    users = np.concatenate([np.full(len(r), u) for u, r in enumerate(relevances)])
+    items = np.concatenate([np.arange(len(r)) for r in relevances])
+    rel = np.concatenate([np.asarray(r, dtype=np.int64) for r in relevances])
+    return ranking_metrics(users, items, -items.astype(np.float64), rel, int(items.max()) + 1)
+
+
+# The single-list metrics below are the reference the segment reductions of
+# ranking_metrics are checked against; no cclrec run calls them.
+
+@dataclass
+class RankedList:
+    user: int
+    items: np.ndarray  # ordered by descending predicted score
+    relevance: np.ndarray  # binary, aligned with items
+
+
+def rank_user(user: int, items: np.ndarray, scores: np.ndarray,
+              relevance: np.ndarray) -> RankedList:
+    """Score-descending order with ascending item index on ties."""
+    order = np.lexsort((items, -scores))
+    return RankedList(user, items[order], relevance[order])
+
+
+def ndcg_at_k(ranked: RankedList, k: int) -> float:
+    rel = ranked.relevance
+    if rel.sum() == 0:
+        return 0.0
+    discounts = 1.0 / np.log2(np.arange(2, k + 2))
+    dcg = float((rel[:k] * discounts[:len(rel[:k])]).sum())
+    ideal = np.sort(rel)[::-1]
+    idcg = float((ideal[:k] * discounts[:len(ideal[:k])]).sum())
+    return dcg / idcg
+
+
+def recall_at_k(ranked: RankedList, k: int) -> float:
+    rel = ranked.relevance
+    total = rel.sum()
+    if total == 0:
+        return 0.0
+    return float(rel[:k].sum() / total)
+
+
+def mrr(ranked: RankedList) -> float:
+    hits = np.nonzero(ranked.relevance)[0]
+    if len(hits) == 0:
+        return 0.0
+    return 1.0 / (hits[0] + 1)
+
+
+def global_utility(ranked_lists: list[RankedList], k: int) -> float:
+    """Mean precision@k over the evaluated users."""
+    if not ranked_lists:
+        return 0.0
+    hits = sum(float(r.relevance[:k].sum()) for r in ranked_lists)
+    return hits / (len(ranked_lists) * k)
 
 
 def rank_users(users, items, scores, relevance):
@@ -102,46 +153,45 @@ class TestAUC:
 
 class TestNDCG:
     def test_relevant_at_rank_one(self):
-        assert ndcg_at_k(ranked([1, 0, 0, 0, 0]), 5) == pytest.approx(1.0, abs=TOL)
+        assert ranked_lists([1, 0, 0, 0, 0])["ndcg5"] == pytest.approx(1.0, abs=TOL)
 
     def test_relevant_at_rank_two(self):
-        got = ndcg_at_k(ranked([0, 1, 0, 0, 0]), 5)
+        got = ranked_lists([0, 1, 0, 0, 0])["ndcg5"]
         assert got == pytest.approx(1 / np.log2(3), abs=TOL)
 
     def test_no_relevant(self):
-        assert ndcg_at_k(ranked([0, 0, 0]), 5) == 0.0
+        assert ranked_lists([0, 0, 0])["ndcg5"] == 0.0
 
     def test_in_unit_interval(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
-            r = ranked(rng.integers(0, 2, 10))
-            assert 0.0 <= ndcg_at_k(r, 5) <= 1.0
+            assert 0.0 <= ranked_lists(rng.integers(0, 2, 10))["ndcg5"] <= 1.0
 
 
 class TestRecall:
     def test_single_relevant_hit(self):
-        assert recall_at_k(ranked([1, 0, 0]), 1) == 1.0
+        assert ranked_lists([1, 0, 0])["recall1"] == 1.0
 
     def test_half_of_two_relevant(self):
-        assert recall_at_k(ranked([1, 0, 1]), 1) == pytest.approx(0.5, abs=TOL)
+        assert ranked_lists([1, 0, 1])["recall1"] == pytest.approx(0.5, abs=TOL)
 
     def test_relevant_outside_top_k(self):
-        assert recall_at_k(ranked([0, 0, 1]), 2) == 0.0
+        # the one relevant item is ranked k + 1 = 6th
+        assert ranked_lists([0, 0, 0, 0, 0, 1])["recall5"] == 0.0
 
     def test_full_list_recall_is_one(self):
-        rel = np.array([0, 1, 0, 1, 1])
-        assert recall_at_k(ranked(rel), len(rel)) == 1.0
+        assert ranked_lists([0, 1, 0, 1, 1])["recall5"] == 1.0
 
 
 class TestMRR:
     def test_first(self):
-        assert mrr(ranked([1, 0, 0])) == 1.0
+        assert ranked_lists([1, 0, 0])["mrr"] == 1.0
 
     def test_third(self):
-        assert mrr(ranked([0, 0, 1])) == pytest.approx(1 / 3, abs=TOL)
+        assert ranked_lists([0, 0, 1])["mrr"] == pytest.approx(1 / 3, abs=TOL)
 
     def test_none(self):
-        assert mrr(ranked([0, 0, 0])) == 0.0
+        assert ranked_lists([0, 0, 0])["mrr"] == 0.0
 
 
 class TestGini:
@@ -169,14 +219,13 @@ class TestGini:
 
 class TestGlobalUtility:
     def test_all_relevant(self):
-        lists = [ranked([1] * 5) for _ in range(3)]
-        assert global_utility(lists, 5) == 1.0
+        assert ranked_lists(*[[1] * 5] * 3)["global_utility"] == 1.0
 
     def test_two_hits_of_five(self):
-        assert global_utility([ranked([1, 0, 1, 0, 0])], 5) == pytest.approx(0.4, abs=TOL)
+        assert ranked_lists([1, 0, 1, 0, 0])["global_utility"] == pytest.approx(0.4, abs=TOL)
 
     def test_none(self):
-        assert global_utility([ranked([0] * 5)], 5) == 0.0
+        assert ranked_lists([0] * 5)["global_utility"] == 0.0
 
 
 class TestRankUser:

@@ -12,7 +12,6 @@ from cclrec.propensity import (
     DEFAULT_FLOOR,
     LogisticHyper,
     PropensityTable,
-    clip_propensity,
     estimate_popularity,
     estimate_propensity_lr,
     estimate_propensity_nb,
@@ -225,30 +224,24 @@ class TestLogisticRegression:
 
 class TestClip:
     def test_floor_applied(self):
-        t = PropensityTable(1, 2, 1e-6, dense=np.array([[0.001, 0.5]]))
-        c = clip_propensity(t, 0.05)
-        np.testing.assert_allclose(c.dense, [[0.05, 0.5]])
-
-    def test_idempotent_above_floor(self):
-        t = PropensityTable(1, 2, 0.05, dense=np.array([[0.5, 0.5]]))
-        c = clip_propensity(t, 0.05)
-        np.testing.assert_allclose(c.dense, t.dense)
+        t = PropensityTable(1, 2, 0.05, dense=np.array([[0.001, 0.5]]))
+        np.testing.assert_allclose(t.dense, [[0.05, 0.5]])
 
     def test_cap_at_one(self):
         t = PropensityTable(1, 1, 0.05, dense=np.array([[1.2]]))
         assert t.dense[0, 0] == 1.0
 
     def test_bad_floor(self):
-        t = PropensityTable(1, 1, 0.05, dense=np.array([[0.5]]))
-        with pytest.raises(ValueError):
-            clip_propensity(t, 0.0)
+        for floor in (0.0, 1.0, 2.0, -0.1, float("nan")):
+            with pytest.raises(ValueError, match="floor"):
+                PropensityTable(1, 1, floor, dense=np.array([[0.5]]))
+            with pytest.raises(ValueError, match="floor"):
+                PropensityTable(1, 1, floor, class_probs=(0.2, 0.4), marginal=0.3)
 
-    def test_per_class_keeps_the_label_grid(self):
+    def test_per_class_floor_applied(self):
         grid = np.array([[1, -1, 0]], dtype=np.int8)
-        t = PropensityTable(1, 3, 0.01, class_probs=(0.02, 0.4), marginal=0.03, label_grid=grid)
-        c = clip_propensity(t, 0.05)
-        assert c.label_grid is grid
-        assert c.row(0).tolist() == [0.4, 0.05, 0.05]
+        t = PropensityTable(1, 3, 0.05, class_probs=(0.02, 0.4), marginal=0.03, label_grid=grid)
+        assert t.row(0).tolist() == [0.4, 0.05, 0.05]
 
 
 class TestSerialization:
@@ -309,6 +302,18 @@ class TestSerializationErrors:
         raw[-1] = byte % 256  # the grid is the last m x n bytes
         (tmp_path / "t.bin").write_bytes(bytes(raw))
         with pytest.raises(DataFormatError, match="label grid"):
+            load_table(tmp_path / "t.bin")
+
+    @pytest.mark.parametrize("floor", [b"nan", b"2", b"0"])
+    @pytest.mark.parametrize("kind", ["dense", "per-class"])
+    def test_header_floor_outside_unit_interval(self, tmp_path, kind, floor):
+        # a floor of nan would load as an all-NaN table, one of 2 as all ones
+        t = (PropensityTable(2, 3, 0.05, dense=np.full((2, 3), 0.5)) if kind == "dense" else
+             PropensityTable(2, 3, 0.05, class_probs=(0.2, 0.4), marginal=0.3))
+        save_table(tmp_path / "t.bin", t)
+        raw = (tmp_path / "t.bin").read_bytes()
+        (tmp_path / "t.bin").write_bytes(raw.replace(b" 0.05", b" " + floor, 1))
+        with pytest.raises(DataFormatError, match="floor must be in"):
             load_table(tmp_path / "t.bin")
 
     def test_bad_header(self, tmp_path):
