@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from cclrec import contrastive as C
 from cclrec import metrics as MET
 from cclrec import model as M
 from cclrec import simulate as SIM
@@ -90,7 +91,16 @@ def build_config(args) -> T.TrainConfig:
                  if getattr(args, f.name, None) is not None}
     cfg = replace(cfg, **overrides)
     cfg.validate()
+    if cfg.propensity_source == "oracle":  # only a config file can name it; the flag cannot
+        raise ValueError("propensity_source = oracle: no CLI dataset carries "
+                         "ground-truth propensities")
     return cfg
+
+
+def write_config(out_dir: Path, config: T.TrainConfig, seeds: list[int]) -> None:
+    """config.txt for --config: the first seed, and the seed list as a comment."""
+    (out_dir / "config.txt").write_text(
+        replace(config, seed=seeds[0]).to_kv() + f"# seeds = {','.join(map(str, seeds))}\n")
 
 
 def run_experiment(bundle: DatasetBundle, config: T.TrainConfig, seeds: list[int],
@@ -106,9 +116,7 @@ def run_experiment(bundle: DatasetBundle, config: T.TrainConfig, seeds: list[int
         rows.append({"arm": "ccl" if cfg.lam > 0 else "base", "seed": seed,
                      **report.as_dict()})
     write_results(out_dir / "results.tsv", rows)
-    # the seed list is a comment so that --config reads the file back
-    (out_dir / "config.txt").write_text(
-        replace(config, seed=seeds[0]).to_kv() + f"# seeds = {','.join(map(str, seeds))}\n")
+    write_config(out_dir, config, seeds)
     return rows
 
 
@@ -171,13 +179,12 @@ def _add_train_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--weight-decay", dest="weight_decay", type=float, default=None)
     p.add_argument("--max-epochs", dest="max_epochs", type=int, default=None)
     p.add_argument("--patience", type=int, default=None)
-    p.add_argument("--loss-kind", dest="loss_kind", choices=["log", "focal"], default=None)
     p.add_argument("--focal-gamma", dest="focal_gamma", type=float, default=None)
-    p.add_argument("--sampler", choices=["cf", "ps", "pop"], default=None)
+    p.add_argument("--sampler", choices=C.SAMPLER_KINDS, default=None)
     p.add_argument("--rec-objective", dest="rec_objective",
-                   choices=["plain", "ips", "snips"], default=None)
-    p.add_argument("--propensity-source", dest="propensity_source",
-                   choices=["auto", "lr", "nb"], default=None)
+                   choices=T.REC_OBJECTIVES, default=None)
+    p.add_argument("--propensity-source", dest="propensity_source", default=None,
+                   choices=[s for s in T.PROPENSITY_SOURCES if s != "oracle"])
     p.add_argument("--seeds", default="0", help="comma-separated seed list")
     p.add_argument("--out", required=True)
 
@@ -247,6 +254,12 @@ def _dispatch(args) -> int:
         print(f"wrote synthetic bundle to {args.out}")
         return 0
 
+    if args.command in ("train", "ablate", "sweep-samplers"):
+        # a bad option fails before any data is read
+        config = build_config(args)
+        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+        if not seeds:
+            raise ValueError("seed list is empty")
     bundle = load_bundle(args)
 
     if args.command == "evaluate":
@@ -261,12 +274,7 @@ def _dispatch(args) -> int:
         print(f"wrote embeddings to {args.out}")
         return 0
 
-    config = build_config(args)
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    if not seeds:
-        raise ValueError("seed list is empty")
     out_dir = Path(args.out)
-
     if args.command == "train":
         run_experiment(bundle, config, seeds, out_dir)
     else:
@@ -275,7 +283,7 @@ def _dispatch(args) -> int:
         rows = run(bundle, config, seeds)
         out_dir.mkdir(parents=True, exist_ok=True)
         write_results(out_dir / name, rows)
-        (out_dir / "config.txt").write_text(config.to_kv())
+        write_config(out_dir, config, seeds)
     print(f"results written to {out_dir}")
     return 0
 

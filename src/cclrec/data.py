@@ -8,7 +8,7 @@ Two on-disk formats are supported:
 
 All returned tables are immutable after construction and safe for concurrent
 reads, except DatasetBundle._unexposed_cache: unexposed_items (the cf sampler)
-fills it per user on first use. It remains until ROADMAP.md item 3 removes it.
+fills it per user on first use. It remains until ROADMAP.md item 1 removes it.
 """
 
 from __future__ import annotations

@@ -133,29 +133,18 @@ def forward(params: ModelParams, users: np.ndarray, items: np.ndarray) -> Predic
     return PredictionBatch(users, items, y, pre, act)
 
 
-def log_loss_per_sample(y: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    y = np.asarray(y, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    return -(labels * np.log(y + EPS_LOG) + (1 - labels) * np.log(1 - y + EPS_LOG))
-
-
-def focal_loss_per_sample(y: np.ndarray, labels: np.ndarray, gamma: float) -> np.ndarray:
-    y = np.asarray(y, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    return -(labels * (1 - y) ** gamma * np.log(y + EPS_LOG)
-             + (1 - labels) * y ** gamma * np.log(1 - y + EPS_LOG))
-
-
-def per_sample_loss(y: np.ndarray, labels: np.ndarray, loss_kind: str = "log",
-                    gamma: float = 0.0) -> np.ndarray:
-    """Rating loss delta_k of each sample: log-loss, or focal loss with focus gamma."""
-    if loss_kind == "log":
-        return log_loss_per_sample(y, labels)
-    if loss_kind != "focal":
-        raise ValueError(f"unknown loss kind {loss_kind!r}")
+def per_sample_loss(y: np.ndarray, labels: np.ndarray, gamma: float = 0.0) -> np.ndarray:
+    """Rating loss delta_k = -(1 - p)^gamma log(p + eps) of each sample, where p is
+    the predicted probability of the observed label: the log-loss at gamma = 0
+    and the focal loss (Lin et al. 2017) above it."""
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
-    return focal_loss_per_sample(y, labels, gamma)
+    y = np.asarray(y, dtype=np.float64)
+    p = np.where(np.asarray(labels) == 1, y, 1 - y)
+    loss = -np.log(p + EPS_LOG)
+    if gamma:
+        loss *= (1 - p) ** gamma
+    return loss
 
 
 def rec_weights(objective: str, propensities: np.ndarray | None, batch_size: int) -> np.ndarray:
@@ -177,7 +166,7 @@ def rec_weights(objective: str, propensities: np.ndarray | None, batch_size: int
 
 
 def backward(params: ModelParams, batch: PredictionBatch, labels: np.ndarray,
-             weights: np.ndarray, loss_kind: str = "log", gamma: float = 0.0,
+             weights: np.ndarray, gamma: float = 0.0,
              grads: ModelParams | None = None) -> ModelParams:
     """Exact gradient of sum_k weights_k * delta(y_k, label_k) w.r.t. all params.
 
@@ -187,17 +176,12 @@ def backward(params: ModelParams, batch: PredictionBatch, labels: np.ndarray,
     labels = np.asarray(labels, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     y = batch.y
-    if loss_kind == "log":
-        dz = y - labels  # d(logloss)/dz for the sigmoid output
-    elif loss_kind == "focal":
-        d_dy = np.where(
-            labels == 1,
-            gamma * (1 - y) ** (gamma - 1) * np.log(y + EPS_LOG) - (1 - y) ** gamma / (y + EPS_LOG),
-            -gamma * y ** (gamma - 1) * np.log(1 - y + EPS_LOG) + y ** gamma / (1 - y + EPS_LOG),
-        )
-        dz = d_dy * y * (1 - y)
-    else:
-        raise ValueError(f"unknown loss kind {loss_kind!r}")
+    dz = y - labels  # d(delta)/dz for the sigmoid output at gamma = 0
+    if gamma:
+        # (1 - p)^gamma (dz + s gamma p log(p + eps)), s = +1 for label 1 and -1 for
+        # label 0; like dz it drops eps from p / (p + eps), so it is finite at y in {0, 1}
+        p = np.where(labels == 1, y, 1 - y)
+        dz = (1 - p) ** gamma * (dz + (2 * labels - 1) * gamma * p * np.log(p + EPS_LOG))
     delta = (weights * dz)[:, None]  # B x 1, gradient at the output pre-activation
 
     if grads is None:

@@ -3,8 +3,9 @@
 Fully seeded and bit-reproducible: a run saves the same bytes on a rerun,
 at any BLAS thread count and at any CPU count (tests/test_blas_threads.py
 runs at 1 and 2 OpenBLAS threads, and on one CPU and on all). Supports
-plain log-loss, focal, IPS and SNIPS rating objectives, the three
-contrastive samplers, and early stopping on validation total loss.
+one rating loss (focal, whose focal_gamma = 0 is the log-loss) under plain,
+IPS and SNIPS weights, the three contrastive samplers, and early stopping on
+validation total loss.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from cclrec.propensity import (
 
 # case-insensitive; to_kv writes True / False
 BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+REC_OBJECTIVES = ("plain", "ips", "snips")
+PROPENSITY_SOURCES = ("auto", "lr", "nb", "oracle")  # oracle: passed to train in Python
 
 
 @dataclass
@@ -44,8 +47,7 @@ class TrainConfig:
     max_epochs: int = 500
     patience: int = 5
     seed: int = 0
-    loss_kind: str = "log"  # log | focal
-    focal_gamma: float = 0.0
+    focal_gamma: float = 0.0  # 0: log-loss
     sampler: str = "cf"  # cf | ps | pop
     rec_objective: str = "plain"  # plain | ips | snips
     propensity_source: str = "auto"  # auto | lr | nb | oracle
@@ -61,11 +63,9 @@ class TrainConfig:
                 raise ValueError(f"{name} must be positive")
         if self.sampler not in C.SAMPLER_KINDS:
             raise ValueError(f"unknown sampler {self.sampler!r}")
-        if self.loss_kind not in ("log", "focal"):
-            raise ValueError(f"unknown loss kind {self.loss_kind!r}")
-        if self.rec_objective not in ("plain", "ips", "snips"):
+        if self.rec_objective not in REC_OBJECTIVES:
             raise ValueError(f"unknown rec objective {self.rec_objective!r}")
-        if self.propensity_source not in ("auto", "lr", "nb", "oracle"):
+        if self.propensity_source not in PROPENSITY_SOURCES:
             raise ValueError(f"unknown propensity source {self.propensity_source!r}")
         for name, least in (("lam", 0), ("batch_size", 1), ("embed_dim", 1),
                             ("hidden_layers", 0), ("max_epochs", 0), ("patience", 0),
@@ -122,8 +122,7 @@ class TrainReport:
 def batch_objective(params: M.ModelParams, users: np.ndarray, items: np.ndarray,
                     labels: np.ndarray, weights: np.ndarray,
                     lam: float, tau: float,
-                    pos_items: Optional[np.ndarray] = None,
-                    loss_kind: str = "log", gamma: float = 0.0,
+                    pos_items: Optional[np.ndarray] = None, gamma: float = 0.0,
                     cosine: bool = False, grads: Optional[M.ModelParams] = None):
     """Total loss (rec + lam * ccl) and its exact gradient for one batch.
 
@@ -132,10 +131,9 @@ def batch_objective(params: M.ModelParams, users: np.ndarray, items: np.ndarray,
     gradient accumulates into `grads` when given (it must hold zeros).
     """
     batch = M.forward(params, users, items)
-    per = M.per_sample_loss(batch.y, labels, loss_kind, gamma)
+    per = M.per_sample_loss(batch.y, labels, gamma)
     rec = float((np.asarray(weights) * per).sum())
-    grads = M.backward(params, batch, labels, weights, loss_kind=loss_kind, gamma=gamma,
-                       grads=grads)
+    grads = M.backward(params, batch, labels, weights, gamma=gamma, grads=grads)
 
     cclv = 0.0
     if lam > 0 and pos_items is not None:
@@ -214,8 +212,7 @@ def train(bundle: DatasetBundle, config: TrainConfig,
                 report.sampler_calls += len(idx)
             total, rec, cclv, grads = batch_objective(
                 params, users, items, labels, weights, config.lam, config.tau,
-                pos_items=pos, loss_kind=config.loss_kind,
-                gamma=config.focal_gamma, cosine=config.cosine, grads=grads)
+                pos_items=pos, gamma=config.focal_gamma, cosine=config.cosine, grads=grads)
             if not np.isfinite(total):
                 raise FloatingPointError(
                     f"non-finite loss at epoch {report.epochs_run}, batch {n_batches}: "
@@ -251,8 +248,7 @@ def train(bundle: DatasetBundle, config: TrainConfig,
 
 def _validation_loss(params, config, val_part: InteractionTable, sampler, val_rng) -> float:
     batch = M.forward(params, val_part.users, val_part.items)
-    rec = M.per_sample_loss(batch.y, val_part.labels, config.loss_kind,
-                            config.focal_gamma).mean()
+    rec = M.per_sample_loss(batch.y, val_part.labels, config.focal_gamma).mean()
     if config.lam <= 0:
         return float(rec)
     # one sampler call keeps the val_rng stream; the contrastive term is scored

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from cclrec.cli import _add_train_args, aggregate, main, write_results
+from cclrec.contrastive import SAMPLER_KINDS
 from cclrec.data import load_triples
 from cclrec.simulate import SimConfig, generate, save_bundle
-from cclrec.training import TrainConfig
+from cclrec.training import PROPENSITY_SOURCES, REC_OBJECTIVES, TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +98,20 @@ class TestTrainCommand:
         assert (first / "results.tsv").read_bytes() == (second / "results.tsv").read_bytes()
         assert (first / "config.txt").read_bytes() == (second / "config.txt").read_bytes()
 
+    @pytest.mark.parametrize("command, table", [("ablate", "ablation.tsv"),
+                                                ("sweep-samplers", "sampler_sweep.tsv")])
+    def test_comparison_rerun_from_written_config_is_byte_identical(self, triple_dir, tmp_path,
+                                                                     command, table):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main([command, *triple_args(triple_dir), *FAST, "--lam", "0.5",
+                     "--seeds", "3,4", "--out", str(first)]) == 0
+        text = (first / "config.txt").read_text()
+        assert "seed = 3\n" in text and text.endswith("# seeds = 3,4\n")
+        assert main([command, *triple_args(triple_dir), "--config", str(first / "config.txt"),
+                     "--seeds", "3,4", "--out", str(second)]) == 0
+        assert (first / table).read_bytes() == (second / table).read_bytes()
+        assert (first / "config.txt").read_bytes() == (second / "config.txt").read_bytes()
+
     def test_config_file_with_override(self, triple_dir, tmp_path):
         cfg_file = tmp_path / "cfg.txt"
         cfg_file.write_text("lam = 0.25\nmax_epochs = 2\nbatch_size = 64\n"
@@ -171,6 +186,7 @@ class TestExitCodes:
         ("learning_rate = nan", "learning_rate must be finite, got nan"),
         ("tau = inf", "tau must be finite, got inf"),
         ("weight_decay = -inf", "weight_decay must be finite, got -inf"),
+        ("propensity_source = oracle", "no CLI dataset carries ground-truth propensities"),
     ])
     def test_config_file_value_that_train_cannot_run(self, triple_dir, tmp_path, capsys,
                                                       line, message):
@@ -179,6 +195,24 @@ class TestExitCodes:
         cfg_file.write_text(f"max_epochs = 1\n{line}\n")
         code = main(["train", *triple_args(triple_dir), "--config", str(cfg_file),
                      "--seeds", "0", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", ["train", "ablate", "sweep-samplers"])
+    @pytest.mark.parametrize("option, message", [
+        (["--lam", "-1"], "lam must be >= 0"),
+        (["--seeds", ","], "seed list is empty"),
+        (["--config", "CFG"], "no CLI dataset carries ground-truth propensities"),
+    ])
+    def test_bad_option_fails_before_the_data_is_read(self, tmp_path, capsys, command,
+                                                      option, message):
+        cfg_file = tmp_path / "cfg.txt"
+        cfg_file.write_text("rec_objective = ips\npropensity_source = oracle\n")
+        missing = ["--dataset", "triples", "--data-dir", str(tmp_path / "nope"),
+                   "--num-users", "5", "--num-items", "5"]
+        option = [str(cfg_file) if a == "CFG" else a for a in option]
+        code = main([command, *missing, *option, "--out", str(tmp_path / "x")])
         assert code == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
@@ -196,11 +230,26 @@ class TestTrainFlags:
         dests = {a.dest for a in parser._actions} - {"help", "config", "seeds", "out"}
         assert dests <= {f.name for f in fields(TrainConfig)}
 
+    def test_choices_are_the_ones_validate_accepts(self):
+        parser = argparse.ArgumentParser()
+        _add_train_args(parser)
+        choices = {a.dest: tuple(a.choices) for a in parser._actions if a.choices}
+        assert choices == {
+            "sampler": SAMPLER_KINDS,
+            "rec_objective": REC_OBJECTIVES,
+            # no CLI dataset carries ground-truth propensities
+            "propensity_source": tuple(s for s in PROPENSITY_SOURCES if s != "oracle"),
+        }
+        for dest, values in choices.items():
+            for value in values:
+                TrainConfig(**{dest: value}).validate()
+
     def test_mode_flag_is_gone(self, triple_dir, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["train", *triple_args(triple_dir), *FAST, "--mode", "joint",
-                  "--seeds", "0", "--out", str(tmp_path / "x")])
-        assert exc.value.code == 2
+        for flag, value in (("--mode", "joint"), ("--loss-kind", "log")):
+            with pytest.raises(SystemExit) as exc:
+                main(["train", *triple_args(triple_dir), *FAST, flag, value,
+                      "--seeds", "0", "--out", str(tmp_path / "x")])
+            assert exc.value.code == 2
 
 
 class TestPrepareAndSimulate:

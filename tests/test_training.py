@@ -40,7 +40,7 @@ class TestConfig:
         TrainConfig().validate()
 
     @pytest.mark.parametrize("kwargs", [
-        {"lam": -0.1}, {"tau": 0.0}, {"sampler": "x"}, {"loss_kind": "hinge"},
+        {"lam": -0.1}, {"tau": 0.0}, {"sampler": "x"}, {"focal_gamma": -0.5},
         {"rec_objective": "dr"}, {"val_fraction": 1.0},
     ])
     def test_rejects_bad_values(self, kwargs):
@@ -58,7 +58,7 @@ class TestConfig:
         ({"weight_decay": -5.0}, "weight_decay must be >= 0"),
         ({"learning_rate": 0.0}, "learning_rate must be positive"),
         ({"learning_rate": -0.01}, "learning_rate must be positive"),
-        ({"loss_kind": "focal", "focal_gamma": -1.0}, "focal_gamma must be >= 0"),
+        ({"focal_gamma": -1.0}, "focal_gamma must be >= 0"),
         ({"lam": float("nan")}, "lam must be finite, got nan"),
         ({"lam": float("inf")}, "lam must be finite, got inf"),
         ({"tau": float("nan")}, "tau must be finite, got nan"),
@@ -67,8 +67,8 @@ class TestConfig:
         ({"learning_rate": float("inf")}, "learning_rate must be finite, got inf"),
         ({"weight_decay": float("nan")}, "weight_decay must be finite, got nan"),
         ({"weight_decay": float("inf")}, "weight_decay must be finite, got inf"),
-        ({"loss_kind": "focal", "focal_gamma": float("nan")}, "focal_gamma must be finite, got nan"),
-        ({"loss_kind": "focal", "focal_gamma": float("inf")}, "focal_gamma must be finite, got inf"),
+        ({"focal_gamma": float("nan")}, "focal_gamma must be finite, got nan"),
+        ({"focal_gamma": float("inf")}, "focal_gamma must be finite, got inf"),
         ({"lam": float("-inf")}, "lam must be finite, got -inf"),
     ])
     def test_train_rejects_values_it_cannot_run(self, kwargs, message):
@@ -80,7 +80,7 @@ class TestConfig:
     @pytest.mark.parametrize("kwargs", [
         {"propensity_source": "oracle"}, {"batch_size": 1}, {"embed_dim": 1},
         {"hidden_layers": 0}, {"max_epochs": 0}, {"patience": 0},
-        {"weight_decay": 0.0}, {"loss_kind": "focal", "focal_gamma": 0.0},
+        {"weight_decay": 0.0}, {"focal_gamma": 0.0},
     ])
     def test_accepts_the_smallest_valid_values(self, kwargs):
         TrainConfig(**kwargs).validate()
@@ -113,7 +113,8 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown key"):
             TrainConfig.from_kv("nope = 1\n")
 
-    @pytest.mark.parametrize("key", ["log_batches", "seeds", "mode", "pretrain_epochs"])
+    @pytest.mark.parametrize("key", ["log_batches", "seeds", "mode", "pretrain_epochs",
+                                     "loss_kind"])
     def test_kv_rejects_removed_and_foreign_keys(self, key):
         with pytest.raises(ValueError, match=f"unknown key '{key}'"):
             TrainConfig.from_kv(f"{key} = 1\n")
@@ -137,8 +138,8 @@ class TestBatchObjective:
                                               weights, lam, tau, pos_items=pos)
         assert total == pytest.approx(rec + lam * cclv, abs=1e-12)
         out = M.forward(params, users, items)
-        assert rec == pytest.approx(
-            float((weights * M.log_loss_per_sample(out.y, labels)).sum()), abs=1e-12)
+        log_loss = -(labels * np.log(out.y + 1e-12) + (1 - labels) * np.log(1 - out.y + 1e-12))
+        assert rec == pytest.approx(float((weights * log_loss).sum()), abs=1e-12)
         reps = assemble_views(params, users, items, pos)
         assert cclv == pytest.approx(ccl_loss(CCLBatch(reps, tau)), abs=1e-12)
 
