@@ -77,7 +77,8 @@ def load_bundle(args) -> DatasetBundle:
                             m=args.num_users, n=args.num_items,
                             one_based=args.one_based)
     if args.dataset == "synthetic":
-        cfg = SIM.SimConfig(m=args.num_users or 500, n=args.num_items or 100,
+        cfg = SIM.SimConfig(m=500 if args.num_users is None else args.num_users,
+                            n=100 if args.num_items is None else args.num_items,
                             exposure_skew=args.exposure_skew, seed=args.sim_seed)
         # the bundle itself does not need high-precision inclusion probabilities
         return SIM.generate(cfg, inclusion_draws=1000).dataset
@@ -260,6 +261,8 @@ def _dispatch(args) -> int:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
         if not seeds:
             raise ValueError("seed list is empty")
+        for seed in seeds:
+            replace(config, seed=seed).validate()
     bundle = load_bundle(args)
 
     if args.command == "evaluate":

@@ -125,10 +125,6 @@ class FeatureTable:
     def __post_init__(self):
         _freeze(self.values)
 
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
-
 
 @dataclass
 class DatasetBundle:

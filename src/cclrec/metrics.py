@@ -5,7 +5,7 @@ protocol these datasets were built for), score descending with item-index
 ascending tie-break. Users without a relevant test item contribute 0 to
 the ranking means and are counted in the report. `ranking_metrics` holds
 the one implementation of every ranking metric; `ranking_report` adds the
-pooled MAE and AUC.
+pooled MAE and AUC, the Mann-Whitney rank sum over numpy average ranks.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from cclrec.data import DatasetBundle
 from cclrec.model import ModelParams, forward
@@ -56,7 +55,14 @@ def auc(predictions, labels) -> float:
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC undefined: needs both label classes")
-    ranks = rankdata(predictions)  # average ranks handle ties as 1/2
+    if np.isnan(predictions).any():
+        return float("nan")
+    order = np.argsort(predictions)
+    s = predictions[order]
+    starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])  # first row of each tie group
+    ends = np.r_[starts[1:], len(s)]
+    ranks = np.empty(len(s))
+    ranks[order] = np.repeat((starts + ends + 1) / 2, ends - starts)
     return float((ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
 
 

@@ -76,17 +76,10 @@ class PropensityTable:
             self.marginal = min(max(marginal, floor), 1.0)
             self.label_grid = label_grid  # m x n int8: observed label, or -1
 
-    def gather(self, users: np.ndarray, items: np.ndarray,
-               labels: Optional[np.ndarray] = None) -> np.ndarray:
+    def gather(self, users: np.ndarray, items: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """Per-sample propensities for observed pairs."""
         if self.kind == "dense":
             return self.dense[users, items]
-        if labels is None:
-            if self.label_grid is None:
-                raise ValueError("per-class table needs labels (none recorded)")
-            labels = self.label_grid[users, items]
-            if (labels < 0).any():
-                raise ValueError("pair without observed label; pass labels explicitly")
         p0, p1 = self.class_probs
         return np.where(np.asarray(labels) == 1, p1, p0)
 

@@ -39,6 +39,8 @@ class SimConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        if self.m < 1 or self.n < 1:
+            raise ValueError(f"m and n must be >= 1, got {self.m} x {self.n}")
         if self.exposure_skew < 0:
             raise ValueError("exposure_skew must be >= 0")
         if self.confounder_half_range <= 0:

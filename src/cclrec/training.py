@@ -69,7 +69,7 @@ class TrainConfig:
             raise ValueError(f"unknown propensity source {self.propensity_source!r}")
         for name, least in (("lam", 0), ("batch_size", 1), ("embed_dim", 1),
                             ("hidden_layers", 0), ("max_epochs", 0), ("patience", 0),
-                            ("weight_decay", 0), ("focal_gamma", 0)):
+                            ("weight_decay", 0), ("focal_gamma", 0), ("seed", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if not (0 <= self.val_fraction < 1):

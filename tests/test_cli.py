@@ -1,9 +1,15 @@
 import argparse
+import os
+import re
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cclrec
 from cclrec.cli import _add_train_args, aggregate, main, write_results
 from cclrec.contrastive import SAMPLER_KINDS
 from cclrec.data import load_triples
@@ -141,6 +147,12 @@ class TestExitCodes:
         assert main(["prepare", *argv]) == 2
         assert f"config error: --dataset {argv[1]} needs {flag}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--num-users", "--num-items"])
+    def test_synthetic_size_zero_is_not_replaced_by_the_default(self, capsys, flag):
+        assert main(["prepare", "--dataset", "synthetic", flag, "0"]) == 2
+        captured = capsys.readouterr()
+        assert "m and n must be >= 1" in captured.err and captured.out == ""
+
     def test_malformed_data(self, tmp_path):
         (tmp_path / "train.txt").write_text("broken\n")
         (tmp_path / "test.txt").write_text("0 0 5\n")
@@ -204,6 +216,7 @@ class TestExitCodes:
         (["--lam", "-1"], "lam must be >= 0"),
         (["--seeds", ","], "seed list is empty"),
         (["--config", "CFG"], "no CLI dataset carries ground-truth propensities"),
+        (["--seeds", "-1"], "seed must be >= 0"),
     ])
     def test_bad_option_fails_before_the_data_is_read(self, tmp_path, capsys, command,
                                                       option, message):
@@ -215,6 +228,15 @@ class TestExitCodes:
         code = main([command, *missing, *option, "--out", str(tmp_path / "x")])
         assert code == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", ["train", "ablate", "sweep-samplers"])
+    def test_negative_seed_fails_before_any_training(self, triple_dir, tmp_path, capsys,
+                                                     command):
+        code = main([command, *triple_args(triple_dir), *FAST,
+                     "--seeds", "0,-1", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_empty_seed_list(self, triple_dir, tmp_path):
@@ -344,3 +366,19 @@ class TestEvaluateAndExport:
         code = main(["evaluate", *triple_args(triple_dir), "--checkpoint", str(tanh)])
         assert code == 3
         assert "'tanh'" in capsys.readouterr().err
+
+
+class TestDependencies:
+    def test_cli_import_loads_no_scipy(self):
+        src = str(Path(cclrec.__file__).resolve().parent.parent)
+        script = ("import sys, cclrec.cli; "
+                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
+        assert out.stdout.strip() == "[]"
+
+    def test_numpy_is_the_only_dependency(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        dependencies = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
+        assert [re.match(r"[\w.-]+", d).group() for d in dependencies] == ["numpy"]

@@ -126,6 +126,16 @@ class TestMAE:
             mae([], [])
 
 
+def rank_sum_auc(scores: np.ndarray, labels: np.ndarray) -> float:
+    """The rank-sum AUC over brute-force average ranks,
+    rank_i = #{x_j < x_i} + (#{x_j = x_i} + 1) / 2."""
+    below = (scores[None, :] < scores[:, None]).sum(axis=1)
+    equal = (scores[None, :] == scores[:, None]).sum(axis=1)
+    ranks = below + (equal + 1) / 2
+    n_pos, n_neg = int((labels == 1).sum()), int((labels == 0).sum())
+    return float((ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
+
+
 class TestAUC:
     def test_separable(self):
         assert auc([0.9, 0.8, 0.1, 0.2], [1, 1, 0, 0]) == 1.0
@@ -141,14 +151,19 @@ class TestAUC:
         with pytest.raises(ValueError):
             auc([0.5, 0.6], [1, 1])
 
-    @given(st.integers(1, 20), st.integers(1, 20), st.integers(0, 10_000))
-    def test_matches_pair_enumeration(self, n_pos, n_neg, seed):
+    def test_nan_score_gives_nan(self):
+        assert np.isnan(auc([0.9, np.nan, 0.1, 0.2], [1, 1, 0, 0]))
+
+    @given(st.integers(1, 20), st.integers(1, 20), st.integers(0, 10_000), st.booleans())
+    def test_matches_pair_enumeration(self, n_pos, n_neg, seed, tied):
         rng = np.random.default_rng(seed)
-        scores = rng.random(n_pos + n_neg)
-        labels = np.array([1] * n_pos + [0] * n_neg)
-        pos, neg = scores[:n_pos], scores[n_pos:]
+        size = n_pos + n_neg
+        scores = rng.integers(0, 4, size) / 4 if tied else rng.random(size)
+        labels = rng.permutation(np.array([1] * n_pos + [0] * n_neg))
+        pos, neg = scores[labels == 1], scores[labels == 0]
         wins = (pos[:, None] > neg[None, :]).sum() + 0.5 * (pos[:, None] == neg[None, :]).sum()
         assert auc(scores, labels) == pytest.approx(wins / (n_pos * n_neg), abs=TOL)
+        assert auc(scores, labels) == rank_sum_auc(scores, labels)
 
 
 class TestNDCG:

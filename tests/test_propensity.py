@@ -139,7 +139,7 @@ class TestNaiveBayes:
         train = InteractionTable.from_lists([0, 0], [0, 1], [5, 1])
         mcar = InteractionTable.from_lists([0, 0], [0, 1], [5, 1])
         table = estimate_propensity_nb(train, mcar, m=2, n=3)
-        p = table.gather(np.array([0, 0]), np.array([0, 1]))
+        p = table.gather(np.array([0, 0]), np.array([0, 1]), np.array([1, 0]))
         assert p[0] == table.class_probs[1]
         assert p[1] == table.class_probs[0]
         row = table.row(0)
@@ -261,8 +261,9 @@ class TestSerialization:
         assert loaded.class_probs == t.class_probs
         assert loaded.marginal == t.marginal
         assert loaded.row(0).tolist() == t.row(0).tolist()
-        users, items = np.array([0]), np.array([0])
-        assert loaded.gather(users, items).tolist() == t.gather(users, items).tolist()
+        users, items, labels = np.array([0]), np.array([0]), np.array([1])
+        got = loaded.gather(users, items, labels)
+        assert got.tolist() == t.gather(users, items, labels).tolist()
 
     def test_popularity_round_trip(self, tmp_path):
         pop = popularity_from_counts([1, 2, 3])

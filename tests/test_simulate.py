@@ -30,6 +30,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimConfig(exposure_skew=-1.0).validate()
 
+    @pytest.mark.parametrize("kwargs", [{"m": 0}, {"n": 0, "exposures_per_user": 0,
+                                                   "test_exposures_per_user": 0}])
+    def test_empty_shape(self, kwargs):
+        with pytest.raises(ValueError, match="m and n must be >= 1"):
+            SimConfig(**kwargs).validate()
+
     def test_infeasible_counts(self):
         with pytest.raises(ValueError):
             SimConfig(n=10, exposures_per_user=8, test_exposures_per_user=3).validate()

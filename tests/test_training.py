@@ -70,6 +70,7 @@ class TestConfig:
         ({"focal_gamma": float("nan")}, "focal_gamma must be finite, got nan"),
         ({"focal_gamma": float("inf")}, "focal_gamma must be finite, got inf"),
         ({"lam": float("-inf")}, "lam must be finite, got -inf"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
     ])
     def test_train_rejects_values_it_cannot_run(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
