@@ -9,6 +9,8 @@ anchor's user and swaps in an item chosen by one of three samplers:
   * pop - item with the largest popularity difference from the anchor item.
 
 ps and pop are array argmaxes over fixed-size row chunks; cf draws pair by pair.
+The loss runs over blocks of whole rows of the 2N x 2N logits, spread over the
+CPUs by `model.split_map`, and sums their parts in block order.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cclrec.data import DatasetBundle, unexposed_items
-from cclrec.model import ModelParams
+from cclrec.model import ModelParams, split_map
 from cclrec.propensity import PopularityTable, PropensityTable
 
 SAMPLER_KINDS = ("cf", "ps", "pop")
@@ -94,59 +96,61 @@ def ccl_loss_and_grad(batch: CCLBatch, cosine: bool = False) -> tuple[float, np.
     return _ccl_loss_impl(batch, cosine, want_grad=True)
 
 
-# Block sizes of the two products. At these sizes OpenBLAS gives the same
-# bytes at any thread count, for every even 2N up to 2,100 (checked at 1 and
-# 2 threads); a whole-matrix product does not.
+# Each block holds _GRAD_ROWS whole rows of the 2N x 2N logits; its products
+# run over _LOGIT_COLS columns at a time. A product is then at most
+# 128 x 128 x 2d = 2^18 multiply-adds at 2d = 16, which OpenBLAS runs on the
+# calling thread: the bytes do not depend on its thread count, and the threads
+# of split_map never queue on OpenBLAS's pool.
 _LOGIT_COLS = 128
-_GRAD_ROWS = 256
+_GRAD_ROWS = 128
 
 
 def _ccl_loss_impl(batch: CCLBatch, cosine: bool, want_grad: bool):
-    reps = batch.representations
-    tau = batch.temperature
+    reps, tau = batch.representations, batch.temperature
     if tau <= 0:
         raise ValueError("temperature must be positive")
     two_n = reps.shape[0]
     if two_n < 2 or two_n % 2:
         raise ValueError("batch must hold an even number (>= 2) of views")
 
-    h = reps
-    norms = None
-    if cosine:
-        norms = np.maximum(np.linalg.norm(reps, axis=1, keepdims=True), 1e-12)
-        h = reps / norms
-    # One 2N x 2N buffer carries logits -> exp -> softmax -> logit gradient.
-    # The logits h (h / tau)^T are GEMMs over column blocks; they need not be
-    # exactly symmetric, since the gradient sums both directions.
-    hs = h / tau
-    g = np.empty((two_n, two_n))
-    for c in range(0, two_n, _LOGIT_COLS):
-        cols = slice(c, c + _LOGIT_COLS)
-        np.matmul(h, hs[cols].T, out=g[:, cols])
-    np.fill_diagonal(g, -np.inf)  # m != anchor index
-    row_max = g.max(axis=1)
-    rows = np.arange(two_n)
-    partner = rows ^ 1
-    # read the positive logit before exp so that a small tau cannot underflow it
-    pos_shifted = g[rows, partner] - row_max
-    g -= row_max[:, None]
-    np.exp(g, out=g)  # the diagonal is now exactly 0
-    denom = g.sum(axis=1)
-    losses = -pos_shifted + np.log(denom)
-    loss = float(losses.sum() / two_n)
+    norms = np.maximum(np.linalg.norm(reps, axis=1, keepdims=True), 1e-12) if cosine else None
+    h = reps / norms if cosine else reps
+    hs, scale = h / tau, 1.0 / (two_n * tau)
+    chunks = [slice(c, c + _LOGIT_COLS) for c in range(0, two_n, _LOGIT_COLS)]
+
+    def block(lo: int):
+        # rows lo.. of the logits h (h / tau)^T -> exp -> row sums -> losses; with
+        # a = scale / denom, the row part a * (E h) and column part E^T (a * h[rows])
+        hr = h[lo:lo + _GRAD_ROWS]
+        r = np.arange(len(hr))
+        e = np.empty((len(hr), two_n))
+        for cols in chunks:
+            np.matmul(hr, hs[cols].T, out=e[:, cols])
+        e[r, lo + r] = -np.inf  # m != anchor index
+        row_max = e.max(axis=1)
+        # read the positive logit before exp so that a small tau cannot underflow it
+        pos_shifted = e[r, (lo + r) ^ 1] - row_max
+        e -= row_max[:, None]
+        np.exp(e, out=e)  # the diagonal is now exactly 0
+        denom = e.sum(axis=1)
+        losses = -pos_shifted + np.log(denom)
+        if not want_grad:
+            return losses, None, None
+        a = (scale / denom)[:, None]
+        row, col, ah = np.zeros_like(hr), np.empty_like(h), a * hr
+        for cols in chunks:
+            row += e[:, cols] @ h[cols]
+            np.matmul(e[:, cols].T, ah, out=col[cols])
+        return losses, a * row, col
+
+    parts = split_map(block, list(range(0, two_n, _GRAD_ROWS)))
+    loss = float(np.concatenate([p[0] for p in parts]).sum() / two_n)
     if not want_grad:
         return loss, None
-
-    # g <- dL/d(h_a . h_m) = (softmax - [m = partner]) / (2N tau)
-    scale = 1.0 / (two_n * tau)
-    g *= (scale / denom)[:, None]
-    g[rows, partner] -= scale
-    # (g + g^T) h as two products over fixed row chunks, summed in a fixed order
-    grad_h = np.zeros_like(h)
-    for k in range(0, two_n, _GRAD_ROWS):
-        ks = slice(k, k + _GRAD_ROWS)
-        grad_h += g[:, ks] @ h[ks]
-        grad_h += g[ks].T @ h[ks]
+    # dL/dh = (G + G^T) h with G = diag(a) E - scale * [m = partner]; the column
+    # parts are summed in block order, so the bytes do not depend on the split
+    grad_h = np.concatenate([p[1] for p in parts]) + sum(p[2] for p in parts)
+    grad_h -= (2 * scale) * h[np.arange(two_n) ^ 1]
     if cosine:
         # chain through the row normalization
         inner = (grad_h * h).sum(axis=1, keepdims=True)

@@ -4,8 +4,9 @@ Architecture: user/item embedding lookups, concatenation, a stack of
 ReLU hidden layers (width 2d) and a 1-unit sigmoid output. Everything is
 float64 and deterministic; gradients are exact reverse-mode derivatives
 verified against finite differences in the test suite. A `ModelParams`
-keeps its arrays in one contiguous vector, and `adam_step` splits a large
-one across the CPUs of the affinity mask; the bytes do not depend on it.
+keeps its arrays in one contiguous vector. `split_map` spreads a large Adam
+step and the contrastive kernel's row blocks over the CPUs of the affinity
+mask, on one thread pool; the bytes do not depend on it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -116,13 +117,15 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 def forward(params: ModelParams, users: np.ndarray, items: np.ndarray) -> PredictionBatch:
     users = np.asarray(users, dtype=np.int64)
     items = np.asarray(items, dtype=np.int64)
-    m = params.user_embeddings.shape[0]
-    n = params.item_embeddings.shape[0]
+    m, n = params.user_embeddings.shape[0], params.item_embeddings.shape[0]
     if len(users) and (users.min() < 0 or users.max() >= m):
         raise IndexError("user id out of range")
     if len(items) and (items.min() < 0 or items.max() >= n):
         raise IndexError("item id out of range")
-    x = np.hstack([params.user_embeddings[users], params.item_embeddings[items]])
+    d = params.d
+    x = np.empty((len(users), 2 * d))  # both gathers write into it; ids are checked above
+    np.take(params.user_embeddings, users, axis=0, out=x[:, :d], mode="clip")
+    np.take(params.item_embeddings, items, axis=0, out=x[:, d:], mode="clip")
     pre, act = [], [x]
     for li, (W, b) in enumerate(params.layers):
         z = act[-1] @ W + b
@@ -213,9 +216,26 @@ class AdamState:
                          (np.zeros_like(params.flat), np.zeros_like(params.flat)))
 
 
-_adam_pool: ThreadPoolExecutor | None = None
-# a child forked after the first split step inherits no pool threads: it starts its own
-os.register_at_fork(after_in_child=lambda: globals().update(_adam_pool=None))
+_pool: ThreadPoolExecutor | None = None
+# a child forked after the first split inherits no pool threads: it starts its own
+os.register_at_fork(after_in_child=lambda: globals().update(_pool=None))
+
+
+def split_map(fn, items: list) -> list:
+    """[fn(x) for x in items] in one contiguous share per CPU of the affinity mask:
+    the calling thread runs the first, a module-level pool of (CPUs - 1) threads the rest."""
+    global _pool
+    cpus = len(os.sched_getaffinity(0))
+    k = min(len(items), cpus)
+    if k < 2:
+        return [fn(x) for x in items]
+    _pool = _pool or ThreadPoolExecutor(cpus - 1, "cclrec-split")
+    shares = [items[len(items) * i // k:len(items) * (i + 1) // k] for i in range(k)]
+    futures = [_pool.submit(list, map(fn, share)) for share in shares[1:]]
+    try:
+        return list(map(fn, shares[0])) + [y for future in futures for y in future.result()]
+    finally:
+        wait(futures)  # no share outlives the call, even when one raises
 
 
 def _adam_slices(size: int) -> int:
@@ -246,11 +266,9 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
 
     The update is p -= lr * (m / c1) / (sqrt(v / c2) + eps), evaluated in
     that order into the state's scratch arrays. A large vector is cut into
-    `_adam_slices` contiguous slices: the calling thread runs the first and
-    a module-level pool of (CPUs - 1) threads, at least one, the others.
+    `_adam_slices` contiguous slices, which `split_map` spreads over the CPUs.
     `grads` is only read.
     """
-    global _adam_pool
     if lr <= 0:
         raise ValueError("lr must be positive")
     b1, b2 = betas
@@ -258,14 +276,8 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
     consts = (b1, b2, 1.0 - b1 ** state.t, 1.0 - b2 ** state.t, lr, eps, weight_decay)
     buffers = (params.flat, grads.flat, state.m.flat, state.v.flat, *state.scratch)
     k = _adam_slices(params.flat.size)
-    if k > 1 and _adam_pool is None:
-        _adam_pool = ThreadPoolExecutor(max(1, len(os.sched_getaffinity(0)) - 1), "cclrec-adam")
-    bounds = [params.flat.size * i // k for i in range(k + 1)]
-    parts = [[a[lo:hi] for a in buffers] for lo, hi in zip(bounds, bounds[1:])]
-    futures = [_adam_pool.submit(_adam_slice, *part, *consts) for part in parts[1:]]
-    _adam_slice(*parts[0], *consts)
-    for future in futures:
-        future.result()
+    parts = [[a[a.size * i // k:a.size * (i + 1) // k] for a in buffers] for i in range(k)]
+    split_map(lambda part: _adam_slice(*part, *consts), parts)
 
 
 def save_checkpoint(path, params: ModelParams) -> None:

@@ -4,8 +4,9 @@ Each BLAS case runs the same script in two fresh interpreters, one with
 OPENBLAS_NUM_THREADS=1 and one with =2 (the variable is read when numpy
 loads, so it cannot change inside one process), and compares the SHA-256
 of what the script computed. On a one-core machine OpenBLAS caps the count
-at 1 and the case cannot fail. The CPU case trains a model large enough for
-the split Adam step, once pinned to one CPU and once on all of them.
+at 1 and the case cannot fail. The CPU cases run the contrastive kernel,
+whose row blocks are split across the CPUs, and train a model large enough
+for the split Adam step, each once pinned to one CPU and once on all of them.
 """
 
 import os
@@ -33,6 +34,12 @@ for two_n in (2, 130, 592, 976, 1024, 2000, 2098):
         digest.update(np.float64(loss).tobytes() + np.float64(value).tobytes() + grad.tobytes())
 print(digest.hexdigest())
 """
+
+# the kernel script in a process that keeps the first argv[1] CPUs of its mask
+PINNED_KERNEL_SCRIPT = """
+import os, sys
+os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:int(sys.argv[1])])
+""" + KERNEL_SCRIPT
 
 # 900 training pairs in batches of 296: 2N = 592 per full batch, and a
 # partial last batch of 12 pairs
@@ -102,3 +109,9 @@ def test_split_adam_checkpoint_bytes_do_not_depend_on_cpu_count(tmp_path):
     one = run_at(1, AFFINITY_SCRIPT, "1", str(tmp_path))
     assert len(one.split()) == 1
     assert one == run_at(1, AFFINITY_SCRIPT, str(cpus), str(tmp_path))
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs at least 2 CPUs")
+def test_kernel_bytes_do_not_depend_on_cpu_count():
+    cpus = len(os.sched_getaffinity(0))
+    assert run_at(1, PINNED_KERNEL_SCRIPT, "1") == run_at(1, PINNED_KERNEL_SCRIPT, str(cpus))

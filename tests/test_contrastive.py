@@ -95,7 +95,7 @@ def brute_force_loss(reps, tau, cosine=False):
 def reference_loss_and_grad(reps, tau, cosine, want_grad):
     """Straightforward kernel with one fresh 2N x 2N array per step.
 
-    The blocked in-place kernel must agree with it to KERNEL_RTOL.
+    The row-blocked kernel must agree with it to KERNEL_RTOL.
     """
     two_n = reps.shape[0]
     h = reps
@@ -122,6 +122,53 @@ def reference_loss_and_grad(reps, tau, cosine, want_grad):
     np.fill_diagonal(grad_logits, 0.0)
     grad_s = grad_logits / tau
     grad_h = (grad_s + grad_s.T) @ h
+    if cosine:
+        inner = (grad_h * h).sum(axis=1, keepdims=True)
+        grad_h = (grad_h - inner * h) / norms
+    return loss, grad_h
+
+
+def parent_loss_and_grad(reps, tau, cosine, want_grad):
+    """The kernel before the row-blocked rewrite, kept as its oracle.
+
+    It fills one 2N x 2N buffer with the logits in 128-column GEMMs, turns it
+    into the logit gradient in place and multiplies out (G + G^T) h in
+    256-row slices. Its logits, row maxima and row sums are the row-blocked
+    kernel's element for element, so the losses are equal; the gradients are
+    summed in another order.
+    """
+    two_n = reps.shape[0]
+    h = reps
+    norms = None
+    if cosine:
+        norms = np.maximum(np.linalg.norm(reps, axis=1, keepdims=True), 1e-12)
+        h = reps / norms
+    hs = h / tau
+    g = np.empty((two_n, two_n))
+    for c in range(0, two_n, 128):
+        cols = slice(c, c + 128)
+        np.matmul(h, hs[cols].T, out=g[:, cols])
+    np.fill_diagonal(g, -np.inf)
+    row_max = g.max(axis=1)
+    rows = np.arange(two_n)
+    partner = rows ^ 1
+    pos_shifted = g[rows, partner] - row_max
+    g -= row_max[:, None]
+    np.exp(g, out=g)
+    denom = g.sum(axis=1)
+    losses = -pos_shifted + np.log(denom)
+    loss = float(losses.sum() / two_n)
+    if not want_grad:
+        return loss, None
+
+    scale = 1.0 / (two_n * tau)
+    g *= (scale / denom)[:, None]
+    g[rows, partner] -= scale
+    grad_h = np.zeros_like(h)
+    for k in range(0, two_n, 256):
+        ks = slice(k, k + 256)
+        grad_h += g[:, ks] @ h[ks]
+        grad_h += g[ks].T @ h[ks]
     if cosine:
         inner = (grad_h * h).sum(axis=1, keepdims=True)
         grad_h = (grad_h - inner * h) / norms
@@ -359,11 +406,14 @@ class TestCCLLoss:
                 assert grad[r, c] == pytest.approx(num, abs=1e-6)
 
 
-# The kernel's blocked GEMMs round differently from the reference's
-# whole-matrix products; measured differences stay below 1e-14 relative to
-# the loss and to the largest gradient entry. An entry that is a near-total
-# cancellation can differ by more relative to itself, hence the atol.
+# The row-blocked kernel's loss equals the parent kernel's, byte for byte. Its
+# gradient is summed in another order, and the reference's whole-matrix
+# products round differently from both; measured differences stay below
+# 1e-14 relative to the loss and to the largest gradient entry. An entry that
+# is a near-total cancellation can differ by more relative to itself, hence
+# the atol.
 KERNEL_RTOL = 1e-12
+TAUS = [1.0, 0.05, 0.01]
 
 
 class TestCCLKernelMatchesReference:
@@ -375,23 +425,35 @@ class TestCCLKernelMatchesReference:
             loss, grad = ccl_loss_and_grad(batch, cosine=cosine)
         else:
             loss, grad = ccl_loss(batch, cosine=cosine), None
+        parent_loss, parent_grad = parent_loss_and_grad(before.copy(), tau, cosine, want_grad)
+        assert loss == parent_loss
         ref_loss, ref_grad = reference_loss_and_grad(before.copy(), tau, cosine, want_grad)
         assert loss == pytest.approx(ref_loss, rel=KERNEL_RTOL, abs=0)
         if want_grad:
-            np.testing.assert_allclose(grad, ref_grad, rtol=KERNEL_RTOL,
-                                       atol=KERNEL_RTOL * np.abs(ref_grad).max())
+            for want in (parent_grad, ref_grad):
+                np.testing.assert_allclose(grad, want, rtol=KERNEL_RTOL,
+                                           atol=KERNEL_RTOL * np.abs(want).max())
         assert np.array_equal(reps, before)  # the caller's views are not written
         return loss, grad
 
-    # 130, 592 and 2000 are not multiples of the kernel's 128 / 256 blocks
-    @pytest.mark.parametrize("two_n", [2, 8, 130, 592, 1024, 2000])
-    @pytest.mark.parametrize("tau", [1.0, 0.05, 0.01])
+    # sizes that are not multiples of the kernel's 128-row blocks, or one row
+    # pair either side of one
+    @pytest.mark.parametrize("two_n", [2, 8, 130, 592, 1024, 2000, 976, 1000, 1022, 1026, 2098])
+    @pytest.mark.parametrize("tau", TAUS)
     @pytest.mark.parametrize("cosine", [False, True])
     @pytest.mark.parametrize("want_grad", [False, True])
     def test_bit_identical(self, two_n, tau, cosine, want_grad):
         rng = np.random.default_rng(two_n)
         reps = rng.normal(scale=0.3, size=(two_n, 16))
         self.check(reps, tau, cosine, want_grad)
+
+    @pytest.mark.parametrize("tau", TAUS)
+    @pytest.mark.parametrize("cosine", [False, True])
+    def test_every_even_size_up_to_300(self, tau, cosine):
+        for two_n in range(2, 302, 2):
+            reps = np.random.default_rng(two_n).normal(scale=0.3, size=(two_n, 16))
+            self.check(reps, tau, cosine, want_grad=True)
+            self.check(reps, tau, cosine, want_grad=False)
 
     def test_small_tau_does_not_overflow(self):
         rng = np.random.default_rng(3)

@@ -28,7 +28,7 @@ CLI_ARGS = ["--dataset", "synthetic", "--num-users", "200", "--num-items", "60",
 CLI_DIGESTS = {
     "train": {
         "results.tsv": "495ccd50e6c5934dea05b8c99ef7b66ff57c4918b04fa197d3aee763ff2823bd",
-        "checkpoint_seed0.bin": "ad9a351f9a296761549c70d3a78b2b7f52677c060ab9f8bf6ce8adf6a3a74d34",
+        "checkpoint_seed0.bin": "53894c4f07df9c60e34b4b74d0679af9144f0eadc0c644f43516c1e2a24334f8",
     },
     "ablate": {
         "ablation.tsv": "59c1589b49a0978bfe895de47745d3486bb09c4e26ec6fd221caf1168a64622c",
@@ -43,15 +43,15 @@ CHECKPOINTS = {
     "plain": (dict(max_epochs=4, seed=3, lam=0.0),
               "ff3b955faeb91a90abe8abbeadb8eec606bea2f7cc43be5726cbd4287a34f990"),
     "ccl-cf": (dict(max_epochs=4, seed=3, lam=1.0, tau=0.5),
-               "230a5fc4c2578df1ee49ed7007d410e7ee4f953d52dae6c8016ad8e5ec971215"),
+               "b3b4db7be0c1fa91df41de944665383d3b2f5a942ce124e8aa040d47b85943b3"),
     "ccl-ps": (dict(max_epochs=4, seed=3, lam=1.0, sampler="ps"),
-               "d6b63768fecd9423dc5c042565c159153d08fa30d9792bee89371b98b9eee17f"),
+               "bfc27f85bed97b15576ee10d2c908cf77be0a2f270a7abdb2c3327922e141ab7"),
     "ccl-pop": (dict(max_epochs=4, seed=3, lam=1.0, sampler="pop"),
-                "5f11014c923fcbbbb58f26ecbe74f80f81b6619656c81514c2cfeb25081c5131"),
+                "dcab79a5d3b9e20bed35f2d32aeeb68e417deedfc174c1918bd5974d05ee7659"),
     "ips": (dict(max_epochs=4, seed=3, lam=0.0, rec_objective="ips"),
             "7f2b65b94f8c966aee411b6787ad806241edd6986418fd19604473f790328a51"),
     "snips-cosine": (dict(max_epochs=4, seed=3, lam=0.5, rec_objective="snips", cosine=True),
-                     "9e7f013040ad8cc8af9dff68edc2f3998d05159dd678d1e95c89227fd0a0da0d"),
+                     "d294d1dfb347b77d14b8563126dd63407f1cd3057fa31bc2fce48b404191e490"),
     "focal": (dict(max_epochs=4, seed=3, lam=0.0, focal_gamma=2.0),
               "9506f6574fe60f0de535443508211be59a80471da07698b43c464354d7d2a2ea"),
 }

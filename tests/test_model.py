@@ -2,6 +2,7 @@ import json
 import multiprocessing
 import os
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -464,19 +465,19 @@ class TestAdamSplit:
         monkeypatch.setattr(M, "_adam_slices", lambda size: 5)
         params = M.init_params(30, 10, 2, 1, np.random.default_rng(0))
         M.adam_step(params, M.ModelParams.zeros_like(params), M.AdamState.for_params(params), 1e-2)
-        assert M._adam_pool._max_workers == max(1, len(os.sched_getaffinity(0)) - 1)
-        names = [t.name for t in threading.enumerate() if t.name.startswith("cclrec-adam")]
-        assert 1 <= len(names) <= M._adam_pool._max_workers
+        assert M._pool._max_workers == max(1, len(os.sched_getaffinity(0)) - 1)
+        names = [t.name for t in threading.enumerate() if t.name.startswith("cclrec-split")]
+        assert 1 <= len(names) <= M._pool._max_workers
 
     def test_forked_child_starts_its_own_pool(self, monkeypatch):
         monkeypatch.setattr(M, "_adam_slices", lambda size: 2)
         params = M.init_params(30, 10, 2, 1, np.random.default_rng(0))
         state = M.AdamState.for_params(params)
         M.adam_step(params, M.ModelParams.zeros_like(params), state, 1e-2)
-        assert M._adam_pool is not None
+        assert M._pool is not None
 
         def child():
-            assert M._adam_pool is None
+            assert M._pool is None
             M.adam_step(params, M.ModelParams.zeros_like(params), state, 1e-2)
 
         proc = multiprocessing.get_context("fork").Process(target=child)
@@ -492,6 +493,39 @@ class TestAdamSplit:
         params = M.init_params(500, 100, 8, 1, np.random.default_rng(0))
         assert params.flat.size < M.ADAM_SPLIT_MIN
         assert M._adam_slices(params.flat.size) == 1
+
+
+class TestSplitMap:
+    @pytest.mark.parametrize("count", [1, 2, 3, 4, 5])
+    def test_results_keep_the_order_of_the_items(self, count):
+        threads = set()
+
+        def fn(x):
+            threads.add(threading.current_thread().name)
+            return 10 * x
+
+        assert M.split_map(fn, list(range(count))) == [10 * x for x in range(count)]
+        assert len(threads) <= min(count, len(os.sched_getaffinity(0)))
+
+    def test_no_items_give_an_empty_list(self):
+        assert M.split_map(lambda x: 1 / 0, []) == []
+
+    def test_a_raising_share_returns_only_after_the_others(self):
+        done = []
+
+        def fn(x):
+            if x == 0:
+                raise ValueError("first share")
+            time.sleep(0.05)
+            done.append(x)
+
+        with pytest.raises(ValueError, match="first share"):
+            M.split_map(fn, [0, 1])
+        assert done == ([1] if len(os.sched_getaffinity(0)) > 1 else [])
+
+    def test_the_first_share_runs_on_the_calling_thread(self):
+        names = M.split_map(lambda x: threading.current_thread().name, list(range(4)))
+        assert names[0] == threading.current_thread().name
 
 
 class TestPacking:
