@@ -104,23 +104,6 @@ def write_config(out_dir: Path, config: T.TrainConfig, seeds: list[int]) -> None
         replace(config, seed=seeds[0]).to_kv() + f"# seeds = {','.join(map(str, seeds))}\n")
 
 
-def run_experiment(bundle: DatasetBundle, config: T.TrainConfig, seeds: list[int],
-                   out_dir: Path) -> list[dict]:
-    """Train + evaluate per seed; write checkpoints, results and the resolved config."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for seed in seeds:
-        cfg = replace(config, seed=seed)
-        params, _ = T.train(bundle, cfg)
-        M.save_checkpoint(out_dir / f"checkpoint_seed{seed}.bin", params)
-        report = MET.evaluate(params, bundle)
-        rows.append({"arm": "ccl" if cfg.lam > 0 else "base", "seed": seed,
-                     **report.as_dict()})
-    write_results(out_dir / "results.tsv", rows)
-    write_config(out_dir, config, seeds)
-    return rows
-
-
 def load_checkpoint_for(path, bundle: DatasetBundle) -> M.ModelParams:
     """Load a checkpoint and check that it was trained on a bundle of this shape."""
     params = M.load_checkpoint(path)
@@ -190,6 +173,18 @@ def _add_train_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", required=True)
 
 
+def _add_simulate_args(p: argparse.ArgumentParser) -> None:
+    """One flag per SimConfig field, whose dest is the field's name."""
+    p.add_argument("--num-users", dest="m", type=int, default=500)
+    p.add_argument("--num-items", dest="n", type=int, default=100)
+    p.add_argument("--exposure-skew", dest="exposure_skew", type=float, default=3.0)
+    p.add_argument("--exposures-per-user", dest="exposures_per_user", type=int, default=20)
+    p.add_argument("--test-exposures-per-user", dest="test_exposures_per_user", type=int,
+                   default=10)
+    p.add_argument("--sim-seed", dest="seed", type=int, default=0)
+    p.add_argument("--out", required=True)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="cclrec")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -209,13 +204,7 @@ def main(argv=None) -> int:
     p.add_argument("--checkpoint", required=True)
 
     p = sub.add_parser("simulate", help="generate a synthetic bundle to disk")
-    p.add_argument("--num-users", type=int, default=500)
-    p.add_argument("--num-items", type=int, default=100)
-    p.add_argument("--exposure-skew", type=float, default=3.0)
-    p.add_argument("--exposures-per-user", type=int, default=20)
-    p.add_argument("--test-exposures-per-user", type=int, default=10)
-    p.add_argument("--sim-seed", type=int, default=0)
-    p.add_argument("--out", required=True)
+    _add_simulate_args(p)
 
     p = sub.add_parser("export-embeddings", help="dump tagged representations")
     _add_data_args(p)
@@ -246,11 +235,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "simulate":
-        cfg = SIM.SimConfig(m=args.num_users, n=args.num_items,
-                            exposure_skew=args.exposure_skew,
-                            exposures_per_user=args.exposures_per_user,
-                            test_exposures_per_user=args.test_exposures_per_user,
-                            seed=args.sim_seed)
+        cfg = SIM.SimConfig(**{f.name: getattr(args, f.name) for f in fields(SIM.SimConfig)})
         SIM.save_bundle(SIM.generate(cfg), args.out)
         print(f"wrote synthetic bundle to {args.out}")
         return 0
@@ -278,15 +263,16 @@ def _dispatch(args) -> int:
         return 0
 
     out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     if args.command == "train":
-        run_experiment(bundle, config, seeds, out_dir)
+        arms = [("ccl" if config.lam > 0 else "base", {})]
+        rows, name = T.run_arms(bundle, config, arms, seeds, checkpoint_dir=out_dir), "results.tsv"
+    elif args.command == "ablate":
+        rows, name = T.run_ablation(bundle, config, seeds), "ablation.tsv"
     else:
-        run, name = {"ablate": (T.run_ablation, "ablation.tsv"),
-                     "sweep-samplers": (T.run_sampler_sweep, "sampler_sweep.tsv")}[args.command]
-        rows = run(bundle, config, seeds)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_results(out_dir / name, rows)
-        write_config(out_dir, config, seeds)
+        rows, name = T.run_sampler_sweep(bundle, config, seeds), "sampler_sweep.tsv"
+    write_results(out_dir / name, rows)
+    write_config(out_dir, config, seeds)
     print(f"results written to {out_dir}")
     return 0
 

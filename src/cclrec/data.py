@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-DEFAULT_THRESHOLD = 3
+LABEL_THRESHOLD = 3  # a rating of at least this is a positive label
 
 
 class DataFormatError(ValueError):
@@ -49,11 +49,11 @@ class InteractionTable:
         return len(self.users)
 
     @staticmethod
-    def from_lists(users, items, ratings, threshold: int = DEFAULT_THRESHOLD) -> "InteractionTable":
+    def from_lists(users, items, ratings) -> "InteractionTable":
         users = np.asarray(users, dtype=np.int64)
         items = np.asarray(items, dtype=np.int64)
         ratings = np.asarray(ratings, dtype=np.int64)
-        labels = (ratings >= threshold).astype(np.int64)
+        labels = (ratings >= LABEL_THRESHOLD).astype(np.int64)
         return InteractionTable(users, items, ratings, labels)
 
     def subset(self, idx: np.ndarray) -> "InteractionTable":
@@ -164,10 +164,10 @@ def _read_int_matrix(path: Path, max_value: int = 5) -> np.ndarray:
     return np.array(rows, dtype=np.int64)
 
 
-def _table_from_matrix(mat: np.ndarray, threshold: int) -> InteractionTable:
+def _table_from_matrix(mat: np.ndarray) -> InteractionTable:
     users, items = np.nonzero(mat)
     ratings = mat[users, items]
-    return InteractionTable.from_lists(users, items, ratings, threshold)
+    return InteractionTable.from_lists(users, items, ratings)
 
 
 def _read_feature_file(directory: Path, kind: str) -> Optional[FeatureTable]:
@@ -178,7 +178,7 @@ def _read_feature_file(directory: Path, kind: str) -> Optional[FeatureTable]:
     return None
 
 
-def load_coat(directory_path, threshold: int = DEFAULT_THRESHOLD) -> DatasetBundle:
+def load_coat(directory_path) -> DatasetBundle:
     """Load a Coat-format directory (train.ascii / test.ascii matrices)."""
     directory = Path(directory_path)
     train_mat = _read_int_matrix(directory / "train.ascii")
@@ -187,8 +187,8 @@ def load_coat(directory_path, threshold: int = DEFAULT_THRESHOLD) -> DatasetBund
         raise DataFormatError(
             f"train {train_mat.shape} and test {test_mat.shape} shapes differ")
     m, n = train_mat.shape
-    train = _table_from_matrix(train_mat, threshold)
-    test = _table_from_matrix(test_mat, threshold)
+    train = _table_from_matrix(train_mat)
+    test = _table_from_matrix(test_mat)
     return DatasetBundle(m=m, n=n, train=train, test=test,
                          exposure=ExposureMatrix(m, n, train),
                          user_features=_read_feature_file(directory, "user"),
@@ -347,8 +347,7 @@ def _parse_triple_file(path: Path, m: int, n: int, one_based: bool):
     return [c[keep] for c in columns], len(keys) - len(keep)
 
 
-def load_triples(train_path, test_path, m: int, n: int, one_based: bool = False,
-                 threshold: int = DEFAULT_THRESHOLD) -> DatasetBundle:
+def load_triples(train_path, test_path, m: int, n: int, one_based: bool = False) -> DatasetBundle:
     """Load Yahoo-style "user item rating" triple files.
 
     Lines end at \\n, \\r\\n or a lone \\r, and blank lines are skipped.
@@ -366,7 +365,7 @@ def load_triples(train_path, test_path, m: int, n: int, one_based: bool = False,
         columns, dups = _parse_triple_file(Path(path), m, n, one_based)
         if dups:
             warnings.warn(f"{path}: {dups} duplicate (user,item) lines, kept last")
-        tables.append(InteractionTable.from_lists(*columns, threshold=threshold))
+        tables.append(InteractionTable.from_lists(*columns))
     train, test = tables
     return DatasetBundle(m=m, n=n, train=train, test=test,
                          exposure=ExposureMatrix(m, n, train))

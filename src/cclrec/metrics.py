@@ -17,6 +17,8 @@ import numpy as np
 from cclrec.data import DatasetBundle
 from cclrec.model import ModelParams, forward
 
+CUTOFF = 5  # the k of Gini and global utility
+
 
 @dataclass
 class MetricsReport:
@@ -92,13 +94,13 @@ def _row_prefix_sums(values: np.ndarray, widths: np.ndarray) -> np.ndarray:
 
 
 def ranking_metrics(users: np.ndarray, items: np.ndarray, scores: np.ndarray,
-                    labels: np.ndarray, n_items: int, k: int = 5) -> dict:
+                    labels: np.ndarray, n_items: int) -> dict:
     """The MetricsReport fields that need the ranking, from one sort of the rows
     by (user, score descending, item).
 
     Each metric is a reduction over the users' segments of the sorted rows;
-    `k` is the cut-off of Gini and global utility. No AUC is computed, so a
-    table with one label class is accepted.
+    Gini and global utility read each user's top CUTOFF rows. No AUC is
+    computed, so a table with one label class is accepted.
     """
     if len(users) == 0:
         raise ValueError("empty test table")
@@ -134,7 +136,7 @@ def ranking_metrics(users: np.ndarray, items: np.ndarray, scores: np.ndarray,
     reciprocal_rank = np.zeros(n_users)
     reciprocal_rank[hit_seg[first]] = 1.0 / (hit_pos[first] + 1)
 
-    shown = pos < k
+    shown = pos < CUTOFF
     exposure_counts = np.bincount(ranked_items[shown], minlength=n_items)
     return dict(
         ndcg5=float(np.mean(ndcg(5))),
@@ -143,21 +145,21 @@ def ranking_metrics(users: np.ndarray, items: np.ndarray, scores: np.ndarray,
         recall5=float(np.mean(recall(5))),
         mrr=float(np.mean(reciprocal_rank)),
         gini=gini(exposure_counts) if exposure_counts.sum() > 0 else 0.0,
-        global_utility=float(rel[shown].sum()) / (n_users * k),
+        global_utility=float(rel[shown].sum()) / (n_users * CUTOFF),
         users_evaluated=n_users,
         users_without_relevant=int((~has_rel).sum()),
     )
 
 
 def ranking_report(users: np.ndarray, items: np.ndarray, scores: np.ndarray,
-                   labels: np.ndarray, n_items: int, gini_k: int = 5) -> MetricsReport:
+                   labels: np.ndarray, n_items: int) -> MetricsReport:
     """The metric suite: the ranking metrics plus MAE and AUC pooled over all rows."""
-    ranking = ranking_metrics(users, items, scores, labels, n_items, gini_k)
+    ranking = ranking_metrics(users, items, scores, labels, n_items)
     return MetricsReport(mae=mae(scores, labels), auc=auc(scores, labels), **ranking)
 
 
-def evaluate(params: ModelParams, bundle: DatasetBundle, gini_k: int = 5) -> MetricsReport:
+def evaluate(params: ModelParams, bundle: DatasetBundle) -> MetricsReport:
     """Rank each user's own test items and compute the full metric suite."""
     test = bundle.test
     scores = forward(params, test.users, test.items).y
-    return ranking_report(test.users, test.items, scores, test.labels, bundle.n, gini_k)
+    return ranking_report(test.users, test.items, scores, test.labels, bundle.n)

@@ -26,6 +26,8 @@ EPS_LOG = 1e-12
 # elements below which one thread runs the whole Adam step: on 2 vCPUs a
 # split step pays about 0.2 ms to hand out and gather and wins from ~56k on
 ADAM_SPLIT_MIN = 1 << 16
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
 
 
 class ModelParams:
@@ -260,20 +262,19 @@ def _adam_slice(p, g, m, v, s, r, b1, b2, c1, c2, lr, eps, weight_decay) -> None
 
 
 def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
-              lr: float, betas: tuple[float, float] = (0.9, 0.999),
-              eps: float = 1e-8, weight_decay: float = 0.0) -> None:
+              lr: float, weight_decay: float = 0.0) -> None:
     """One bias-corrected Adam step with decoupled weight decay (in place).
 
-    The update is p -= lr * (m / c1) / (sqrt(v / c2) + eps), evaluated in
+    The update is p -= lr * (m / c1) / (sqrt(v / c2) + ADAM_EPS), evaluated in
     that order into the state's scratch arrays. A large vector is cut into
     `_adam_slices` contiguous slices, which `split_map` spreads over the CPUs.
     `grads` is only read.
     """
     if lr <= 0:
         raise ValueError("lr must be positive")
-    b1, b2 = betas
+    b1, b2 = ADAM_BETAS
     state.t += 1
-    consts = (b1, b2, 1.0 - b1 ** state.t, 1.0 - b2 ** state.t, lr, eps, weight_decay)
+    consts = (b1, b2, 1.0 - b1 ** state.t, 1.0 - b2 ** state.t, lr, ADAM_EPS, weight_decay)
     buffers = (params.flat, grads.flat, state.m.flat, state.v.flat, *state.scratch)
     k = _adam_slices(params.flat.size)
     parts = [[a[a.size * i // k:a.size * (i + 1) // k] for a in buffers] for i in range(k)]
@@ -301,6 +302,11 @@ def load_checkpoint(path) -> ModelParams:
     try:
         header = json.loads(header_line.decode())
         m, n, d, widths, activation = (header[k] for k in ("m", "n", "d", "widths", "activation"))
+        # forward scores the last layer's column 0; type(v) is int turns away JSON's true
+        if not (isinstance(widths, list) and widths and widths[-1] == 1
+                and all(type(v) is int and v > 0 for v in (m, n, d, *widths))):
+            raise ValueError(f"m, n, d {m}, {n}, {d} and widths {widths}: need positive "
+                             "ints, and widths to end in 1")
         shapes = [(m, d), (n, d)]
         for fan_in, w in zip([2 * d] + widths[:-1], widths):
             shapes += [(fan_in, w), (w,)]

@@ -14,8 +14,14 @@ import numpy as np
 
 from cclrec.data import DataFormatError, DatasetBundle, InteractionTable
 
-DEFAULT_FLOOR = 0.05
+PROPENSITY_FLOOR = 0.05  # of the estimated tables
 POPULARITY_FLOOR = 1e-3
+# the logistic-regression propensity estimator's fit
+LR_LEARNING_RATE = 0.5
+LR_EPOCHS = 300
+LR_NEGATIVE_RATE = 1.0
+LR_SEED = 0
+LR_L2 = 1e-4
 
 
 @dataclass(frozen=True)
@@ -28,18 +34,18 @@ class PopularityTable:
         self.values.setflags(write=False)
 
 
-def estimate_popularity(bundle: DatasetBundle, floor: float = POPULARITY_FLOOR) -> PopularityTable:
-    """pop(i) = sqrt(count(i) / max_j count(j)); zero-count items get `floor`."""
-    return popularity_from_counts(bundle.exposure.item_counts(), floor)
+def estimate_popularity(bundle: DatasetBundle) -> PopularityTable:
+    """pop(i) = sqrt(count(i) / max_j count(j)); zero-count items get POPULARITY_FLOOR."""
+    return popularity_from_counts(bundle.exposure.item_counts())
 
 
-def popularity_from_counts(counts: np.ndarray, floor: float = POPULARITY_FLOOR) -> PopularityTable:
+def popularity_from_counts(counts: np.ndarray) -> PopularityTable:
     counts = np.asarray(counts, dtype=np.float64)
     top = counts.max()
     if top <= 0:
         raise ValueError("no interactions: all item counts are zero")
     pop = np.sqrt(counts / top)
-    pop[counts == 0] = floor
+    pop[counts == 0] = POPULARITY_FLOOR
     return PopularityTable(pop)
 
 
@@ -104,7 +110,7 @@ class PropensityTable:
 
 
 def estimate_propensity_nb(train: InteractionTable, mcar: InteractionTable,
-                           m: int, n: int, floor: float = DEFAULT_FLOOR) -> PropensityTable:
+                           m: int, n: int) -> PropensityTable:
     """Naive-Bayes propensity from a small MCAR sample.
 
     P(O=1 | Y=y) = P(Y=y | O=1) * P(O=1) / P(Y=y), with the label
@@ -123,39 +129,28 @@ def estimate_propensity_nb(train: InteractionTable, mcar: InteractionTable,
     grid = np.full((m, n), -1, dtype=np.int8)
     grid[train.users, train.items] = train.labels
     grid.setflags(write=False)
-    return PropensityTable(m, n, floor, class_probs=(p0, p1), marginal=p_o, label_grid=grid)
+    return PropensityTable(m, n, PROPENSITY_FLOOR, class_probs=(p0, p1), marginal=p_o,
+                           label_grid=grid)
 
 
-@dataclass
-class LogisticHyper:
-    learning_rate: float = 0.5
-    epochs: int = 300
-    negative_rate: float = 1.0
-    seed: int = 0
-    l2: float = 1e-4
-
-
-def estimate_propensity_lr(bundle: DatasetBundle,
-                           hyper: Optional[LogisticHyper] = None,
-                           floor: float = DEFAULT_FLOOR) -> PropensityTable:
+def estimate_propensity_lr(bundle: DatasetBundle) -> PropensityTable:
     """Logistic regression on concatenated user/item features predicting exposure.
 
     Positives are the exposed training pairs; negatives are unexposed pairs
-    sampled uniformly at `negative_rate` : 1 with a fixed seed. Full-batch
+    sampled uniformly at LR_NEGATIVE_RATE : 1 with a fixed seed. Full-batch
     gradient descent; deterministic for a fixed seed.
     """
     if bundle.user_features is None or bundle.item_features is None:
         raise ValueError("logistic propensity needs user and item features; "
                          "use popularity or naive Bayes instead")
-    hyper = hyper or LogisticHyper()
     m, n = bundle.m, bundle.n
     xu = bundle.user_features.values
     xi = bundle.item_features.values
 
     pos_u = bundle.train.users
     pos_i = bundle.train.items
-    rng = np.random.default_rng(hyper.seed)
-    n_neg = int(round(hyper.negative_rate * len(pos_u)))
+    rng = np.random.default_rng(LR_SEED)
+    n_neg = int(round(LR_NEGATIVE_RATE * len(pos_u)))
     neg_u = np.empty(n_neg, dtype=np.int64)
     neg_i = np.empty(n_neg, dtype=np.int64)
     filled = 0
@@ -176,17 +171,16 @@ def estimate_propensity_lr(bundle: DatasetBundle,
 
     w = np.zeros(X.shape[1])
     b = 0.0
-    lr = hyper.learning_rate
-    for _ in range(hyper.epochs):
+    for _ in range(LR_EPOCHS):
         p = 1.0 / (1.0 + np.exp(-(X @ w + b)))
         err = p - y
-        w -= lr * (X.T @ err / len(y) + hyper.l2 * w)
-        b -= lr * err.mean()
+        w -= LR_LEARNING_RATE * (X.T @ err / len(y) + LR_L2 * w)
+        b -= LR_LEARNING_RATE * err.mean()
 
     su = xu @ w[:xu.shape[1]]
     si = xi @ w[xu.shape[1]:]
     dense = 1.0 / (1.0 + np.exp(-(su[:, None] + si[None, :] + b)))
-    return PropensityTable(m, n, floor, dense=dense)
+    return PropensityTable(m, n, PROPENSITY_FLOOR, dense=dense)
 
 
 def save_table(path, table) -> None:
@@ -215,6 +209,8 @@ def load_table(path):
         header = header_line.decode().split()
         kind, m, n, floor = header[0], int(header[1]), int(header[2]), float(header[3])
         n_values = {"popularity": n, "dense": m * n, "per-class": 3}[kind]
+        if m < 1 or n < 1:
+            raise ValueError(f"shape {m} x {n}")
     except (IndexError, ValueError, KeyError) as e:
         raise DataFormatError(f"{path}: bad table header ({e})") from e
     grid_bytes = m * n if header[4:] == ["1"] else 0
@@ -223,6 +219,8 @@ def load_table(path):
                               f"its header needs {8 * n_values + grid_bytes}")
     values = np.frombuffer(raw, dtype=np.float64, count=n_values).copy()
     if kind == "popularity":
+        if not ((values > 0) & (values <= 1)).all():  # NaN fails both comparisons
+            raise DataFormatError(f"{path}: a popularity value outside (0, 1]")
         return PopularityTable(values)
     grid = None
     if kind == "per-class" and grid_bytes:
@@ -230,10 +228,13 @@ def load_table(path):
         grid = np.frombuffer(raw, dtype=np.int8, offset=24).reshape(m, n)
         if ((grid < -1) | (grid > 1)).any():
             raise DataFormatError(f"{path}: label grid holds a byte outside {{-1, 0, 1}}")
+    layout = (dict(dense=values.reshape(m, n)) if kind == "dense" else
+              dict(class_probs=(values[0], values[1]), marginal=values[2], label_grid=grid))
     try:
-        if kind == "dense":
-            return PropensityTable(m, n, floor, dense=values.reshape(m, n))
-        return PropensityTable(m, n, floor, class_probs=(values[0], values[1]),
-                               marginal=values[2], label_grid=grid)
+        table = PropensityTable(m, n, floor, **layout)
     except ValueError as e:  # the constructor's floor check
         raise DataFormatError(f"{path}: {e}") from e
+    # save_table writes clipped values; the constructor's clip would pass a NaN through
+    if not ((values >= floor) & (values <= 1)).all():
+        raise DataFormatError(f"{path}: a propensity outside [{floor}, 1]")
+    return table

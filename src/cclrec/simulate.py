@@ -16,6 +16,7 @@ so items differ in an average quality the model can learn.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,28 +24,32 @@ import numpy as np
 
 from cclrec.data import DatasetBundle, ExposureMatrix, InteractionTable
 
+LATENT_DIM = 8
+LATENT_SCALE = 0.8  # per-vector norm scale of the latents
+USER_LATENT_MEAN = 1.2  # positive shift giving items a mean quality
+CONFOUNDER_HALF_RANGE = 0.5  # z ~ Uniform(-r, r)
+CONFOUNDER_OUTCOME_WEIGHT = 1.0  # confounder -> outcome path
+
 
 @dataclass
 class SimConfig:
+    """The settings `cclrec simulate` has a flag for; the rest are the constants above."""
+
     m: int = 500
     n: int = 100
-    latent_dim: int = 8
     exposure_skew: float = 3.0  # strength of confounder -> exposure
     exposures_per_user: int = 20
-    confounder_outcome_weight: float = 1.0  # confounder -> outcome path
-    confounder_half_range: float = 0.5  # z ~ Uniform(-r, r)
-    latent_scale: float = 0.8  # per-vector norm scale of the latents
-    user_latent_mean: float = 1.2  # positive shift giving items a mean quality
     test_exposures_per_user: int = 10
     seed: int = 0
 
     def validate(self) -> None:
         if self.m < 1 or self.n < 1:
             raise ValueError(f"m and n must be >= 1, got {self.m} x {self.n}")
-        if self.exposure_skew < 0:
-            raise ValueError("exposure_skew must be >= 0")
-        if self.confounder_half_range <= 0:
-            raise ValueError("confounder_half_range must be positive")
+        if not (math.isfinite(self.exposure_skew) and self.exposure_skew >= 0):
+            raise ValueError(f"exposure_skew must be finite and >= 0, got {self.exposure_skew}")
+        for name in ("exposures_per_user", "test_exposures_per_user"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.exposures_per_user + self.test_exposures_per_user > self.n:
             raise ValueError("per-user exposure counts exceed item count")
 
@@ -110,12 +115,12 @@ def generate(config: SimConfig, inclusion_draws: int = 10_000) -> SyntheticBundl
     rng = np.random.default_rng(config.seed)
     m, n = config.m, config.n
     k, t = config.exposures_per_user, config.test_exposures_per_user
-    scale = config.latent_scale / np.sqrt(config.latent_dim)
-    shift = config.user_latent_mean / np.sqrt(config.latent_dim)
-    u_lat = rng.normal(shift, scale, size=(m, config.latent_dim))
-    i_lat = rng.normal(0.0, 1.0, size=(n, config.latent_dim)) * scale
-    z = rng.uniform(-config.confounder_half_range, config.confounder_half_range, size=n)
-    logits = u_lat @ i_lat.T + config.confounder_outcome_weight * z[None, :]
+    scale = LATENT_SCALE / np.sqrt(LATENT_DIM)
+    shift = USER_LATENT_MEAN / np.sqrt(LATENT_DIM)
+    u_lat = rng.normal(shift, scale, size=(m, LATENT_DIM))
+    i_lat = rng.normal(0.0, 1.0, size=(n, LATENT_DIM)) * scale
+    z = rng.uniform(-CONFOUNDER_HALF_RANGE, CONFOUNDER_HALF_RANGE, size=n)
+    logits = u_lat @ i_lat.T + CONFOUNDER_OUTCOME_WEIGHT * z[None, :]
     pref = 1.0 / (1.0 + np.exp(-logits))
 
     weights = np.exp(config.exposure_skew * z)
@@ -150,12 +155,6 @@ def generate(config: SimConfig, inclusion_draws: int = 10_000) -> SyntheticBundl
                            exposure=ExposureMatrix(m, n, train))
     inclusion = estimate_inclusion_probs(weights, k, draws=inclusion_draws, seed=config.seed + 1)
     return SyntheticBundle(bundle, pref, weights, inclusion, z)
-
-
-def oracle_propensities(synth: SyntheticBundle, table: InteractionTable,
-                        floor: float = 1e-3) -> np.ndarray:
-    """Ground-truth per-pair propensities (marginal inclusion probabilities)."""
-    return np.maximum(synth.inclusion_probs[table.items], floor)
 
 
 def save_bundle(synth: SyntheticBundle, directory) -> None:

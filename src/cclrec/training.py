@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, fields, replace
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -263,24 +264,28 @@ def _validation_loss(params, config, val_part: InteractionTable, sampler, val_rn
     return float(rec + config.lam * cclv / len(reps))
 
 
-def _run_arms(bundle: DatasetBundle, config: TrainConfig, arms, seeds: list[int]) -> list[dict]:
-    """Train each (arm, config overrides) on every seed; one metrics row per arm per seed."""
+def run_arms(bundle: DatasetBundle, config: TrainConfig, arms, seeds: list[int],
+             checkpoint_dir: Optional[Path] = None) -> list[dict]:
+    """Train each (arm, config overrides) on every seed; one metrics row per arm per seed.
+    With `checkpoint_dir`, each run is saved there as checkpoint_seed<seed>.bin (one arm)."""
     from cclrec.metrics import evaluate
 
     rows = []
     for arm, overrides in arms:
         for seed in seeds:
             params, _ = train(bundle, replace(config, seed=seed, **overrides))
+            if checkpoint_dir is not None:
+                M.save_checkpoint(checkpoint_dir / f"checkpoint_seed{seed}.bin", params)
             rows.append({"arm": arm, "seed": seed, **evaluate(params, bundle).as_dict()})
     return rows
 
 
 def run_ablation(bundle: DatasetBundle, config: TrainConfig, seeds: list[int]) -> list[dict]:
     """Train {with CCL, without CCL} on shared seeds; one metrics row per arm per seed."""
-    return _run_arms(bundle, config, [("with_ccl", {}), ("without_ccl", {"lam": 0.0})], seeds)
+    return run_arms(bundle, config, [("with_ccl", {}), ("without_ccl", {"lam": 0.0})], seeds)
 
 
 def run_sampler_sweep(bundle: DatasetBundle, config: TrainConfig, seeds: list[int]) -> list[dict]:
     """Train {cf, ps, pop, no-ssl} arms on shared seeds and evaluate each."""
     arms = [(kind, {"sampler": kind}) for kind in C.SAMPLER_KINDS] + [("no-ssl", {"lam": 0.0})]
-    return _run_arms(bundle, config, arms, seeds)
+    return run_arms(bundle, config, arms, seeds)

@@ -20,7 +20,7 @@ from cclrec.contrastive import CCLBatch, ccl_loss
 from cclrec.data import load_coat
 from cclrec.metrics import auc, evaluate, gini, mae, ranking_metrics
 from cclrec.propensity import PropensityTable
-from cclrec.simulate import SimConfig, generate, oracle_propensities
+from cclrec.simulate import SimConfig, generate
 from cclrec.training import TrainConfig, batch_objective, train
 
 

@@ -1,4 +1,5 @@
 import argparse
+import json
 import os
 import re
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import cclrec
-from cclrec.cli import _add_train_args, aggregate, main, write_results
+from cclrec.cli import _add_simulate_args, _add_train_args, aggregate, main, write_results
 from cclrec.contrastive import SAMPLER_KINDS
 from cclrec.data import load_triples
 from cclrec.simulate import SimConfig, generate, save_bundle
@@ -274,6 +275,24 @@ class TestTrainFlags:
             assert exc.value.code == 2
 
 
+class TestSimulateFlags:
+    """Each simulator setting has a caller: one `cclrec simulate` flag per SimConfig field."""
+
+    @staticmethod
+    def parser():
+        parser = argparse.ArgumentParser()
+        _add_simulate_args(parser)
+        return parser
+
+    def test_flags_and_config_fields_are_one_to_one(self):
+        dests = [a.dest for a in self.parser()._actions if a.dest not in ("help", "out")]
+        assert sorted(dests) == sorted(f.name for f in fields(SimConfig))
+
+    def test_flag_defaults_are_the_config_defaults(self):
+        args = vars(self.parser().parse_args(["--out", "x"]))
+        assert SimConfig(**{f.name: args[f.name] for f in fields(SimConfig)}) == SimConfig()
+
+
 class TestPrepareAndSimulate:
     def test_prepare_prints_shape(self, triple_dir, capsys):
         assert main(["prepare", *triple_args(triple_dir)]) == 0
@@ -289,6 +308,18 @@ class TestPrepareAndSimulate:
         b = load_triples(out / "train.txt", out / "test.txt", m=20, n=15)
         assert len(b.train) == 20 * 4
         assert len(b.test) == 20 * 3
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--exposures-per-user", "-2", "exposures_per_user must be >= 0, got -2"),
+        ("--test-exposures-per-user", "-1", "test_exposures_per_user must be >= 0, got -1"),
+        ("--exposure-skew", "nan", "exposure_skew must be finite and >= 0, got nan"),
+    ])
+    def test_simulate_setting_rejected_by_name(self, tmp_path, capsys, flag, value, message):
+        code = main(["simulate", "--num-users", "5", "--num-items", "30", flag, value,
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
 
 class TestEvaluateAndExport:
@@ -356,6 +387,18 @@ class TestEvaluateAndExport:
                      "--user", "0", "--out", str(tmp_path / "x.tsv")])
         assert code == 3
         assert not (tmp_path / "x.tsv").exists()
+
+    @pytest.mark.parametrize("widths", [[3], []])
+    def test_checkpoint_forward_cannot_score_is_a_data_error(self, triple_dir, tmp_path,
+                                                              capsys, widths):
+        # [3] used to score column 0 of three, [] to fail inside forward (exit 2)
+        header = {"m": 30, "n": 20, "d": 4, "widths": widths, "activation": "relu"}
+        size = 50 * 4 + sum(a * w + w for a, w in zip([8] + widths[:-1], widths))
+        path = tmp_path / "c.bin"
+        path.write_bytes(json.dumps(header).encode() + b"\n" + np.zeros(size).tobytes())
+        code = main(["evaluate", *triple_args(triple_dir), "--checkpoint", str(path)])
+        assert code == 3
+        assert "bad checkpoint header" in capsys.readouterr().err
 
     def test_checkpoint_of_another_activation_is_a_data_error(self, triple_dir, trained,
                                                               tmp_path, capsys):

@@ -44,9 +44,9 @@ class TestBinarize:
     """The label rule every loader applies, through InteractionTable.from_lists."""
 
     @staticmethod
-    def labels(ratings, **kw):
+    def labels(ratings):
         n = len(ratings)
-        return InteractionTable.from_lists(np.zeros(n), np.arange(n), ratings, **kw).labels.tolist()
+        return InteractionTable.from_lists(np.zeros(n), np.arange(n), ratings).labels.tolist()
 
     def test_threshold_boundary(self):
         assert self.labels([3, 2, 5]) == [1, 0, 1]
@@ -54,9 +54,6 @@ class TestBinarize:
     def test_monotone(self):
         labels = self.labels(range(1, 6))
         assert labels == sorted(labels)
-
-    def test_custom_threshold(self):
-        assert self.labels([2, 1], threshold=2) == [1, 0]
 
 
 class TestLoadCoat:

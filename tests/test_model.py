@@ -612,3 +612,21 @@ class TestCheckpoint:
         M.save_checkpoint(tmp_path / "a.bin", small_params)
         M.save_checkpoint(tmp_path / "b.bin", small_params)
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+    @pytest.mark.parametrize("change", [
+        {"widths": [3]},  # forward would score column 0 of three
+        {"widths": []},  # forward would raise IndexError
+        {"widths": [4, 2]},
+        {"widths": [0, 1]},
+        {"m": 0},
+        {"d": True},
+    ])
+    def test_header_forward_cannot_score_is_a_data_error(self, tmp_path, change):
+        header = {"m": 2, "n": 3, "d": 2, "widths": [4, 1], "activation": "relu", **change}
+        m, n, d, widths = header["m"], header["n"], header["d"], header["widths"]
+        # a payload of the length the header implies, so only the header is wrong
+        size = (m + n) * d + sum(a * w + w for a, w in zip([2 * d] + widths[:-1], widths))
+        path = tmp_path / "c.bin"
+        path.write_bytes(json.dumps(header).encode() + b"\n" + np.zeros(size).tobytes())
+        with pytest.raises(DataFormatError, match="bad checkpoint header"):
+            M.load_checkpoint(path)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cclrec import propensity as P
 from cclrec.data import (
     DataFormatError,
     DatasetBundle,
@@ -9,8 +10,6 @@ from cclrec.data import (
     InteractionTable,
 )
 from cclrec.propensity import (
-    DEFAULT_FLOOR,
-    LogisticHyper,
     PropensityTable,
     estimate_popularity,
     estimate_propensity_lr,
@@ -36,14 +35,14 @@ def make_bundle(m, n, train_triplets, test_triplets=None,
         item_features=FeatureTable("item", item_features) if item_features is not None else None)
 
 
-def _estimate_propensity_lr_per_pair(bundle, hyper):
+def _estimate_propensity_lr_per_pair(bundle):
     """estimate_propensity_lr's dense table, filtering negatives one pair at a time."""
     m, n = bundle.m, bundle.n
     xu, xi = bundle.user_features.values, bundle.item_features.values
     pos_u, pos_i = bundle.train.users, bundle.train.items
     exposed = set(zip(pos_u.tolist(), pos_i.tolist()))
-    rng = np.random.default_rng(hyper.seed)
-    n_neg = int(round(hyper.negative_rate * len(pos_u)))
+    rng = np.random.default_rng(P.LR_SEED)
+    n_neg = int(round(P.LR_NEGATIVE_RATE * len(pos_u)))
     neg_u, neg_i = [], []
     while len(neg_u) < n_neg:
         cu = rng.integers(0, m, size=n_neg - len(neg_u))
@@ -55,14 +54,14 @@ def _estimate_propensity_lr_per_pair(bundle, hyper):
     X = np.hstack([np.vstack([xu[pos_u], xu[neg_u]]), np.vstack([xi[pos_i], xi[neg_i]])])
     y = np.concatenate([np.ones(len(pos_u)), np.zeros(n_neg)])
     w, b = np.zeros(X.shape[1]), 0.0
-    for _ in range(hyper.epochs):
+    for _ in range(P.LR_EPOCHS):
         p = 1.0 / (1.0 + np.exp(-(X @ w + b)))
         err = p - y
-        w -= hyper.learning_rate * (X.T @ err / len(y) + hyper.l2 * w)
-        b -= hyper.learning_rate * err.mean()
+        w -= P.LR_LEARNING_RATE * (X.T @ err / len(y) + P.LR_L2 * w)
+        b -= P.LR_LEARNING_RATE * err.mean()
     su, si = xu @ w[:xu.shape[1]], xi @ w[xu.shape[1]:]
     dense = 1.0 / (1.0 + np.exp(-(su[:, None] + si[None, :] + b)))
-    return np.clip(dense, DEFAULT_FLOOR, 1.0)
+    return np.clip(dense, P.PROPENSITY_FLOOR, 1.0)
 
 
 class TestPopularity:
@@ -75,7 +74,7 @@ class TestPopularity:
         np.testing.assert_allclose(pop.values, [1, 1, 1])
 
     def test_zero_count_floored(self):
-        pop = popularity_from_counts([0, 5], floor=1e-3)
+        pop = popularity_from_counts([0, 5])
         np.testing.assert_allclose(pop.values, [1e-3, 1.0])
 
     def test_all_zero_rejected(self):
@@ -102,23 +101,23 @@ class TestPopularity:
 
 class TestNaiveBayes:
     def test_hand_computed_value(self):
-        # train: 1000 pairs in a 100x100 grid -> P(O=1)=0.1, 80% positive
+        # train: 2000 pairs in a 100x100 grid -> P(O=1)=0.2, 80% positive
         rng = np.random.default_rng(1)
-        users, items = np.divmod(rng.choice(10_000, 1000, replace=False), 100)
-        ratings = np.where(np.arange(1000) < 800, 5, 1)
+        users, items = np.divmod(rng.choice(10_000, 2000, replace=False), 100)
+        ratings = np.where(np.arange(2000) < 1600, 5, 1)
         train = InteractionTable.from_lists(users, items, ratings)
-        # MCAR sample with 50% positive
+        # MCAR sample with 50% positive; both ratios sit above the 0.05 floor
         mcar = InteractionTable.from_lists([0] * 10, range(10), [5] * 5 + [1] * 5)
-        table = estimate_propensity_nb(train, mcar, m=100, n=100, floor=1e-3)
+        table = estimate_propensity_nb(train, mcar, m=100, n=100)
         p0, p1 = table.class_probs
-        assert p1 == pytest.approx(0.8 * 0.1 / 0.5)
-        assert p0 == pytest.approx(0.2 * 0.1 / 0.5)
+        assert p1 == pytest.approx(0.8 * 0.2 / 0.5)
+        assert p0 == pytest.approx(0.2 * 0.2 / 0.5)
 
     def test_independence_gives_constant(self):
         # P(Y=y|O=1) == P(Y=y) -> propensity equals P(O=1) for both classes
         train = InteractionTable.from_lists([0, 0, 1, 1], [0, 1, 0, 1], [5, 1, 5, 1])
         mcar = InteractionTable.from_lists([0, 0], [2, 3], [5, 1])
-        table = estimate_propensity_nb(train, mcar, m=2, n=4, floor=1e-3)
+        table = estimate_propensity_nb(train, mcar, m=2, n=4)
         p_o = 4 / 8
         assert table.class_probs == (pytest.approx(p_o), pytest.approx(p_o))
 
@@ -126,7 +125,7 @@ class TestNaiveBayes:
         # rare positives in MCAR push the Bayes ratio above 1
         train = InteractionTable.from_lists([0, 0, 1, 1], [0, 1, 0, 1], [5] * 4)
         mcar = InteractionTable.from_lists([0] * 10, range(10), [5] + [1] * 9)
-        table = estimate_propensity_nb(train, mcar, m=2, n=2, floor=1e-3)
+        table = estimate_propensity_nb(train, mcar, m=2, n=2)
         assert table.class_probs[1] == 1.0
 
     def test_single_class_mcar_rejected(self):
@@ -191,7 +190,7 @@ class TestLogisticRegression:
         feat_i = np.array([[1.0], [0.0]])
         b = make_bundle(2, 2, [(0, 0, 5), (1, 0, 4)],
                         user_features=feat_u, item_features=feat_i)
-        table = estimate_propensity_lr(b, LogisticHyper(epochs=500), floor=1e-3)
+        table = estimate_propensity_lr(b)
         assert table.dense[0, 0] > table.dense[0, 1]
         assert table.dense[1, 0] > table.dense[1, 1]
 
@@ -201,8 +200,8 @@ class TestLogisticRegression:
         fi = rng.integers(0, 2, (8, 3)).astype(float)
         triplets = [(u, i, 4) for u in range(6) for i in range(0, 8, 2)]
         b = make_bundle(6, 8, triplets, user_features=fu, item_features=fi)
-        t1 = estimate_propensity_lr(b, LogisticHyper(seed=3))
-        t2 = estimate_propensity_lr(b, LogisticHyper(seed=3))
+        t1 = estimate_propensity_lr(b)
+        t2 = estimate_propensity_lr(b)
         assert (t1.dense == t2.dense).all()
 
     def test_negative_filter_matches_per_pair_membership(self):
@@ -212,9 +211,8 @@ class TestLogisticRegression:
         fi = rng.normal(size=(9, 2))
         triplets = [(u, i, 4) for u in range(7) for i in range(9) if (u * 5 + i * 3) % 4 < 2]
         b = make_bundle(7, 9, triplets, user_features=fu, item_features=fi)
-        for hyper in (LogisticHyper(seed=2, epochs=30), LogisticHyper(seed=5, negative_rate=0.4)):
-            got = estimate_propensity_lr(b, hyper)
-            assert np.array_equal(got.dense, _estimate_propensity_lr_per_pair(b, hyper))
+        got = estimate_propensity_lr(b)
+        assert np.array_equal(got.dense, _estimate_propensity_lr_per_pair(b))
 
     def test_missing_features_error(self):
         b = make_bundle(2, 2, [(0, 0, 5)])
@@ -320,4 +318,32 @@ class TestSerializationErrors:
     def test_bad_header(self, tmp_path):
         (tmp_path / "t.bin").write_bytes(b"matrix 1 2 0.1\n")
         with pytest.raises(DataFormatError):
+            load_table(tmp_path / "t.bin")
+
+    @pytest.mark.parametrize("header,payload", [
+        (b"per-class -1 -3 0.05 1", 27),  # the grid's reshape raised a bare ValueError
+        (b"dense -1 -2 0.05", 16),
+        (b"popularity 1 0 0", 0),
+    ])
+    def test_header_shape_below_one(self, tmp_path, header, payload):
+        (tmp_path / "t.bin").write_bytes(header + b"\n" + bytes(payload))
+        with pytest.raises(DataFormatError, match="bad table header"):
+            load_table(tmp_path / "t.bin")
+
+    @pytest.mark.parametrize("kind,value", [
+        *((kind, value) for kind in ("dense", "per-class")
+          for value in (np.nan, np.inf, -np.inf, 0.01, 1.5)),  # floor 0.05
+        *(("popularity", value) for value in (np.nan, np.inf, -1.0, 0.0, 1.5)),
+    ])
+    def test_value_save_table_never_writes(self, tmp_path, kind, value):
+        # np.clip and the per-class min / max would pass a NaN on to the IPS weights
+        table = {"dense": lambda: PropensityTable(2, 3, 0.05, dense=np.full((2, 3), 0.5)),
+                 "per-class": lambda: PropensityTable(2, 3, 0.05, class_probs=(0.2, 0.4),
+                                                      marginal=0.3),
+                 "popularity": lambda: popularity_from_counts([1, 2, 3])}[kind]()
+        save_table(tmp_path / "t.bin", table)
+        raw = (tmp_path / "t.bin").read_bytes()
+        at = raw.index(b"\n") + 1  # the first value
+        (tmp_path / "t.bin").write_bytes(raw[:at] + np.float64(value).tobytes() + raw[at + 8:])
+        with pytest.raises(DataFormatError, match="outside"):
             load_table(tmp_path / "t.bin")

@@ -12,7 +12,6 @@ from cclrec.simulate import (
     _draw_without_replacement,
     estimate_inclusion_probs,
     generate,
-    oracle_propensities,
     save_bundle,
 )
 
@@ -35,6 +34,16 @@ class TestConfig:
     def test_empty_shape(self, kwargs):
         with pytest.raises(ValueError, match="m and n must be >= 1"):
             SimConfig(**kwargs).validate()
+
+    @pytest.mark.parametrize("name", ["exposures_per_user", "test_exposures_per_user"])
+    def test_negative_exposure_count(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0, got -2$"):
+            SimConfig(**{name: -2}).validate()
+
+    @pytest.mark.parametrize("skew", [float("nan"), float("inf")])
+    def test_non_finite_skew(self, skew):
+        with pytest.raises(ValueError, match="exposure_skew must be finite"):
+            SimConfig(exposure_skew=skew).validate()
 
     def test_infeasible_counts(self):
         with pytest.raises(ValueError):
@@ -121,15 +130,6 @@ class TestInclusionProbs:
         np.testing.assert_allclose(synth.inclusion_probs, realized, atol=0.05)
 
 
-class TestOraclePropensities:
-    def test_gathers_per_item_probs(self):
-        synth = generate(SimConfig(m=10, n=12, seed=0, exposures_per_user=3,
-                                   test_exposures_per_user=2), inclusion_draws=50)
-        props = oracle_propensities(synth, synth.dataset.train)
-        expected = np.maximum(synth.inclusion_probs[synth.dataset.train.items], 1e-3)
-        np.testing.assert_array_equal(props, expected)
-
-
 class TestSaveBundle:
     def test_round_trips_through_triple_loader(self, tmp_path):
         synth = generate(SimConfig(m=15, n=12, seed=6, exposures_per_user=4,
@@ -166,13 +166,13 @@ def _generate_reference(config, inclusion_draws):
     """Per-user loop: (train, test, inclusion_probs, end states of both generators)."""
     config.validate()
     rng = np.random.default_rng(config.seed)
-    scale = config.latent_scale / np.sqrt(config.latent_dim)
-    shift = config.user_latent_mean / np.sqrt(config.latent_dim)
-    u_lat = rng.normal(shift, scale, size=(config.m, config.latent_dim))
-    i_lat = rng.normal(0.0, 1.0, size=(config.n, config.latent_dim)) * scale
-    z = rng.uniform(-config.confounder_half_range, config.confounder_half_range,
+    scale = simulate.LATENT_SCALE / np.sqrt(simulate.LATENT_DIM)
+    shift = simulate.USER_LATENT_MEAN / np.sqrt(simulate.LATENT_DIM)
+    u_lat = rng.normal(shift, scale, size=(config.m, simulate.LATENT_DIM))
+    i_lat = rng.normal(0.0, 1.0, size=(config.n, simulate.LATENT_DIM)) * scale
+    z = rng.uniform(-simulate.CONFOUNDER_HALF_RANGE, simulate.CONFOUNDER_HALF_RANGE,
                     size=config.n)
-    logits = u_lat @ i_lat.T + config.confounder_outcome_weight * z[None, :]
+    logits = u_lat @ i_lat.T + simulate.CONFOUNDER_OUTCOME_WEIGHT * z[None, :]
     pref = 1.0 / (1.0 + np.exp(-logits))
     weights = np.exp(config.exposure_skew * z)
     weights /= weights.sum()
@@ -225,7 +225,7 @@ def _assert_tables_equal(got, want):
 def small_configs(draw):
     n = draw(st.integers(1, 12))
     k = draw(st.integers(0, n))
-    return SimConfig(m=draw(st.integers(1, 25)), n=n, latent_dim=draw(st.integers(1, 4)),
+    return SimConfig(m=draw(st.integers(1, 25)), n=n,
                      exposure_skew=draw(st.sampled_from([0.0, 3.0, 40.0])),
                      exposures_per_user=k, test_exposures_per_user=draw(st.integers(0, n - k)),
                      seed=draw(st.integers(0, 2**32 - 1)))
@@ -253,7 +253,7 @@ class TestBatchedGenerateEqualsPerUserLoop:
         assert got_states == states
 
     def test_default_block_with_a_short_tail(self):
-        config = SimConfig(m=1003, n=7, latent_dim=2, exposures_per_user=2,
+        config = SimConfig(m=1003, n=7, exposures_per_user=2,
                            test_exposures_per_user=3, exposure_skew=3.0, seed=17)
         train, test, inclusion, states = _generate_reference(config, 1001)
         synth, got_states = _generate_recording_states(config, 1001)
