@@ -57,9 +57,8 @@ class InteractionTable:
         return InteractionTable(users, items, ratings, labels)
 
     def subset(self, idx: np.ndarray) -> "InteractionTable":
-        return InteractionTable(
-            self.users[idx].copy(), self.items[idx].copy(),
-            self.ratings[idx].copy(), self.labels[idx].copy())
+        """The rows at the integer positions `idx`, in new arrays (indexing by an array copies)."""
+        return InteractionTable(self.users[idx], self.items[idx], self.ratings[idx], self.labels[idx])
 
 
 class ExposureMatrix:

@@ -18,6 +18,7 @@ from cclrec.data import DatasetBundle
 from cclrec.model import ModelParams, forward
 
 CUTOFF = 5  # the k of Gini and global utility
+SCORE_ROWS = 8192  # rows per forward call when scoring a table: bounds the activations held
 
 
 @dataclass
@@ -158,8 +159,14 @@ def ranking_report(users: np.ndarray, items: np.ndarray, scores: np.ndarray,
     return MetricsReport(mae=mae(scores, labels), auc=auc(scores, labels), **ranking)
 
 
+def predict(params: ModelParams, users: np.ndarray, items: np.ndarray) -> np.ndarray:
+    """forward(params, users, items).y, computed SCORE_ROWS rows at a time (one call if empty)."""
+    return np.concatenate([forward(params, users[lo:lo + SCORE_ROWS], items[lo:lo + SCORE_ROWS]).y
+                           for lo in range(0, max(len(users), 1), SCORE_ROWS)])
+
+
 def evaluate(params: ModelParams, bundle: DatasetBundle) -> MetricsReport:
     """Rank each user's own test items and compute the full metric suite."""
     test = bundle.test
-    scores = forward(params, test.users, test.items).y
+    scores = predict(params, test.users, test.items)
     return ranking_report(test.users, test.items, scores, test.labels, bundle.n)

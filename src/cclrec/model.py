@@ -3,10 +3,12 @@
 Architecture: user/item embedding lookups, concatenation, a stack of
 ReLU hidden layers (width 2d) and a 1-unit sigmoid output. Everything is
 float64 and deterministic; gradients are exact reverse-mode derivatives
-verified against finite differences in the test suite. A `ModelParams`
-keeps its arrays in one contiguous vector. `split_map` spreads a large Adam
-step and the contrastive kernel's row blocks over the CPUs of the affinity
-mask, on one thread pool; the bytes do not depend on it.
+verified against finite differences in the test suite. `forward` keeps
+only each layer's input (the ReLU is taken in place), and `backward` reads
+its ReLU mask from those. A `ModelParams` keeps its arrays in one contiguous
+vector. `split_map` spreads a large Adam step and the contrastive kernel's
+row blocks over the CPUs of the affinity mask, on one thread pool; the
+bytes do not depend on it.
 """
 
 from __future__ import annotations
@@ -103,7 +105,6 @@ class PredictionBatch:
     users: np.ndarray
     items: np.ndarray
     y: np.ndarray  # B, in (0,1)
-    pre_activations: list[np.ndarray] = field(repr=False, default_factory=list)
     activations: list[np.ndarray] = field(repr=False, default_factory=list)  # [0]: B x 2d input
 
 
@@ -128,14 +129,13 @@ def forward(params: ModelParams, users: np.ndarray, items: np.ndarray) -> Predic
     x = np.empty((len(users), 2 * d))  # both gathers write into it; ids are checked above
     np.take(params.user_embeddings, users, axis=0, out=x[:, :d], mode="clip")
     np.take(params.item_embeddings, items, axis=0, out=x[:, d:], mode="clip")
-    pre, act = [], [x]
-    for li, (W, b) in enumerate(params.layers):
+    act = [x]
+    for W, b in params.layers[:-1]:
         z = act[-1] @ W + b
-        pre.append(z)
-        if li < len(params.layers) - 1:
-            act.append(np.maximum(z, 0.0))
-    y = _sigmoid(pre[-1][:, 0])
-    return PredictionBatch(users, items, y, pre, act)
+        act.append(np.maximum(z, 0.0, out=z))
+    W, b = params.layers[-1]
+    y = _sigmoid((act[-1] @ W + b)[:, 0])
+    return PredictionBatch(users, items, y, act)
 
 
 def per_sample_loss(y: np.ndarray, labels: np.ndarray, gamma: float = 0.0) -> np.ndarray:
@@ -198,7 +198,7 @@ def backward(params: ModelParams, batch: PredictionBatch, labels: np.ndarray,
         gb += delta.sum(axis=0)
         delta = delta @ W.T
         if li > 0:
-            delta = delta * (batch.pre_activations[li - 1] > 0)
+            delta = delta * (batch.activations[li] > 0)
     d = params.d
     np.add.at(grads.user_embeddings, batch.users, delta[:, :d])
     np.add.at(grads.item_embeddings, batch.items, delta[:, d:])

@@ -47,6 +47,11 @@ class SimConfig:
             raise ValueError(f"m and n must be >= 1, got {self.m} x {self.n}")
         if not (math.isfinite(self.exposure_skew) and self.exposure_skew >= 0):
             raise ValueError(f"exposure_skew must be finite and >= 0, got {self.exposure_skew}")
+        with np.errstate(over="ignore"):  # the largest sum of the exposure weights exp(skew * z)
+            weight_sum_bound = self.n * np.exp(self.exposure_skew * CONFOUNDER_HALF_RANGE)
+        if not np.isfinite(weight_sum_bound):
+            raise ValueError(f"exposure_skew {self.exposure_skew} overflows the exposure "
+                             f"weights of {self.n} items")
         for name in ("exposures_per_user", "test_exposures_per_user"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")

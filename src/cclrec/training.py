@@ -20,6 +20,7 @@ import numpy as np
 
 from cclrec import model as M
 from cclrec import contrastive as C
+from cclrec import metrics as MET
 from cclrec.data import DatasetBundle, InteractionTable, holdout_split
 from cclrec.propensity import (
     PopularityTable,
@@ -248,35 +249,33 @@ def train(bundle: DatasetBundle, config: TrainConfig,
 
 
 def _validation_loss(params, config, val_part: InteractionTable, sampler, val_rng) -> float:
-    batch = M.forward(params, val_part.users, val_part.items)
-    rec = M.per_sample_loss(batch.y, val_part.labels, config.focal_gamma).mean()
+    users, items = val_part.users, val_part.items
+    y = MET.predict(params, users, items)
+    rec = M.per_sample_loss(y, val_part.labels, config.focal_gamma).mean()
     if config.lam <= 0:
         return float(rec)
     # one sampler call keeps the val_rng stream; the contrastive term is scored
     # in chunks of batch_size pairs, like training, and weighted by row count
-    pos = sampler(val_part.users, val_part.items, val_rng)
-    reps = C.assemble_views(params, val_part.users, val_part.items, pos)
-    rows = 2 * config.batch_size
+    pos = sampler(users, items, val_rng)
     cclv = 0.0
-    for lo in range(0, len(reps), rows):
-        chunk = reps[lo:lo + rows]
-        cclv += len(chunk) * C.ccl_loss(C.CCLBatch(chunk, config.tau), cosine=config.cosine)
-    return float(rec + config.lam * cclv / len(reps))
+    for lo in range(0, len(users), config.batch_size):
+        c = slice(lo, lo + config.batch_size)
+        reps = C.assemble_views(params, users[c], items[c], pos[c])
+        cclv += len(reps) * C.ccl_loss(C.CCLBatch(reps, config.tau), cosine=config.cosine)
+    return float(rec + config.lam * cclv / (2 * len(users)))
 
 
 def run_arms(bundle: DatasetBundle, config: TrainConfig, arms, seeds: list[int],
              checkpoint_dir: Optional[Path] = None) -> list[dict]:
     """Train each (arm, config overrides) on every seed; one metrics row per arm per seed.
     With `checkpoint_dir`, each run is saved there as checkpoint_seed<seed>.bin (one arm)."""
-    from cclrec.metrics import evaluate
-
     rows = []
     for arm, overrides in arms:
         for seed in seeds:
             params, _ = train(bundle, replace(config, seed=seed, **overrides))
             if checkpoint_dir is not None:
                 M.save_checkpoint(checkpoint_dir / f"checkpoint_seed{seed}.bin", params)
-            rows.append({"arm": arm, "seed": seed, **evaluate(params, bundle).as_dict()})
+            rows.append({"arm": arm, "seed": seed, **MET.evaluate(params, bundle).as_dict()})
     return rows
 
 

@@ -83,6 +83,31 @@ with open(path, "rb") as f:
 """
 
 
+# 2,500 users x 4 test items: one full SCORE_ROWS chunk and a partial one. Each
+# 8,192 x 16 x 16 chunk product is above OpenBLAS's 2^18 threading threshold,
+# so at 2 threads the product is split, unlike the kernel's products above
+EVALUATE_SCRIPT = """
+import hashlib
+import numpy as np
+from cclrec import metrics as MET
+from cclrec import model as M
+from cclrec.data import DatasetBundle, ExposureMatrix, InteractionTable
+
+rng = np.random.default_rng(0)
+m, n = 2500, 60
+users = np.repeat(np.arange(m), 4)
+items = np.argsort(rng.random((m, n)), axis=1)[:, :4].ravel()
+test = InteractionTable.from_lists(users, items, rng.integers(1, 6, len(users)))
+train = InteractionTable.from_lists([0], [0], [5])
+bundle = DatasetBundle(m=m, n=n, train=train, test=test, exposure=ExposureMatrix(m, n, train))
+params = M.init_params(m, n, 8, 1, rng)
+assert len(test) > MET.SCORE_ROWS
+scores = MET.predict(params, test.users, test.items)
+report = MET.evaluate(params, bundle)
+print(hashlib.sha256(scores.tobytes() + repr(report).encode()).hexdigest())
+"""
+
+
 def run_at(threads: int, script: str, *args: str) -> str:
     env = {k: v for k, v in os.environ.items() if k not in ("OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     env["OPENBLAS_NUM_THREADS"] = str(threads)
@@ -95,6 +120,10 @@ def run_at(threads: int, script: str, *args: str) -> str:
 
 def test_kernel_bytes_do_not_depend_on_thread_count():
     assert run_at(1, KERNEL_SCRIPT) == run_at(2, KERNEL_SCRIPT)
+
+
+def test_evaluate_bytes_do_not_depend_on_thread_count():
+    assert run_at(1, EVALUATE_SCRIPT) == run_at(2, EVALUATE_SCRIPT)
 
 
 def test_ccl_checkpoint_bytes_do_not_depend_on_thread_count(tmp_path):

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -313,10 +314,14 @@ class TestPrepareAndSimulate:
         ("--exposures-per-user", "-2", "exposures_per_user must be >= 0, got -2"),
         ("--test-exposures-per-user", "-1", "test_exposures_per_user must be >= 0, got -1"),
         ("--exposure-skew", "nan", "exposure_skew must be finite and >= 0, got nan"),
+        ("--exposure-skew", "2000", "exposure_skew 2000.0 overflows the exposure weights of 30 items"),
     ])
     def test_simulate_setting_rejected_by_name(self, tmp_path, capsys, flag, value, message):
-        code = main(["simulate", "--num-users", "5", "--num-items", "30", flag, value,
-                     "--out", str(tmp_path / "x")])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["simulate", "--num-users", "5", "--num-items", "30", flag, value,
+                         "--out", str(tmp_path / "x")])
+        assert [str(w.message) for w in caught] == []
         assert code == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "x").exists()

@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import numpy as np
@@ -44,6 +45,15 @@ class TestConfig:
     def test_non_finite_skew(self, skew):
         with pytest.raises(ValueError, match="exposure_skew must be finite"):
             SimConfig(exposure_skew=skew).validate()
+
+    # n exp(skew / 2) overflows from skew 1412.8 at n = 30
+    @pytest.mark.parametrize("skew", [1413.0, 1500.0, 2000.0, 1e300])
+    def test_skew_that_overflows_the_exposure_weights(self, skew):
+        with pytest.raises(ValueError, match=f"^exposure_skew {re.escape(str(skew))} overflows"):
+            SimConfig(m=5, n=30, exposure_skew=skew).validate()
+
+    def test_largest_skew_below_overflow(self):
+        SimConfig(m=5, n=30, exposure_skew=1412.0).validate()
 
     def test_infeasible_counts(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from cclrec import contrastive as C
 from cclrec import model as M
 from cclrec.contrastive import CCLBatch, assemble_views, ccl_loss
 from cclrec.data import DatasetBundle, ExposureMatrix, InteractionTable
-from cclrec.metrics import MetricsReport
+from cclrec.metrics import SCORE_ROWS, MetricsReport
 from cclrec.training import (
     TrainConfig,
     _validation_loss,
@@ -157,8 +159,8 @@ class TestValidationLoss:
     """The validation CCL is scored in chunks of batch_size pairs."""
 
     @staticmethod
-    def setting(n_val, batch_size, cosine=False):
-        b = toy_bundle(m=20, n=12, per_user=6, seed=4)
+    def setting(n_val, batch_size, cosine=False, m=20):
+        b = toy_bundle(m=m, n=12, per_user=6, seed=4)
         val = b.train.subset(np.arange(n_val))
         cfg = TrainConfig(lam=0.7, tau=0.4, batch_size=batch_size, embed_dim=4, cosine=cosine)
         params = M.init_params(b.m, b.n, cfg.embed_dim, cfg.hidden_layers, np.random.default_rng(0))
@@ -181,6 +183,15 @@ class TestValidationLoss:
     @pytest.mark.parametrize("cosine", [False, True])
     def test_equals_per_chunk_loop(self, n_val, batch_size, cosine):
         params, cfg, val, sampler = self.setting(n_val, batch_size, cosine)
+        got = _validation_loss(params, cfg, val, sampler, np.random.default_rng(9))
+        want = self.per_chunk_loop(params, cfg, val, sampler, np.random.default_rng(9))
+        assert got == want
+
+    @pytest.mark.parametrize("lam", [0.0, 0.7])
+    def test_split_larger_than_score_rows(self, lam):
+        # 1,500 users x 6 pairs of train, of which SCORE_ROWS + 3 form the split
+        params, cfg, val, sampler = self.setting(SCORE_ROWS + 3, 512, m=1500)
+        cfg = replace(cfg, lam=lam)
         got = _validation_loss(params, cfg, val, sampler, np.random.default_rng(9))
         want = self.per_chunk_loop(params, cfg, val, sampler, np.random.default_rng(9))
         assert got == want
