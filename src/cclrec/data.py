@@ -89,10 +89,6 @@ class ExposureMatrix:
     def __len__(self) -> int:
         return len(self._keys)
 
-    def __contains__(self, pair: tuple[int, int]) -> bool:
-        u, i = pair
-        return bool(self.contains([u], [i])[0])
-
     def contains(self, users, items) -> np.ndarray:
         """Membership of each pair (users[j], items[j]), as a boolean array."""
         users = np.asarray(users, dtype=np.int64)
@@ -118,7 +114,6 @@ class ExposureMatrix:
 class FeatureTable:
     """Dense per-entity feature matrix (binary-encoded attributes)."""
 
-    kind: str  # "user" | "item"
     values: np.ndarray  # float64, one row per entity
 
     def __post_init__(self):
@@ -173,7 +168,7 @@ def _read_feature_file(directory: Path, kind: str) -> Optional[FeatureTable]:
     for path in (directory / f"{kind}_features.ascii",
                  directory / "user_item_features" / f"{kind}_features.ascii"):
         if path.exists():
-            return FeatureTable(kind, _read_int_matrix(path, max_value=1).astype(np.float64))
+            return FeatureTable(_read_int_matrix(path, max_value=1).astype(np.float64))
     return None
 
 

@@ -7,12 +7,11 @@ positive sampler; popularity feeds the popularity-difference sampler.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from cclrec.data import DataFormatError, DatasetBundle, InteractionTable
+from cclrec.data import DatasetBundle, InteractionTable
 
 PROPENSITY_FLOOR = 0.05  # of the estimated tables
 POPULARITY_FLOOR = 1e-3
@@ -53,10 +52,12 @@ class PropensityTable:
     """Estimated exposure probabilities P_{u,i}, clipped to [floor, 1].
 
     Two storage layouts:
-      * dense: full m x n matrix (logistic-regression estimator);
-      * per-class: one probability per observed label class (naive-Bayes
-        estimator), expanded on demand. Pairs without an observed label
-        get the marginal exposure rate.
+      * dense: the full m x n matrix (logistic-regression estimator);
+      * per-class: (p0, p1, marginal) plus a required m x n int8 label grid
+        (naive-Bayes estimator). The grid holds each pair's observed label,
+        or -1 where none was observed, and a row is the lookup
+        [marginal, p0, p1][grid + 1], so an unlabeled pair gets the
+        marginal exposure rate.
     """
 
     def __init__(self, m: int, n: int, floor: float,
@@ -70,17 +71,25 @@ class PropensityTable:
             raise ValueError(f"floor must be in (0, 1), got {floor}")
         self.m = m
         self.n = n
-        self.floor = floor
         if dense is not None:
+            if np.shape(dense) != (m, n):
+                raise ValueError(f"dense must be {m} x {n}, got shape {np.shape(dense)}")
             self.kind = "dense"
             self.dense = np.clip(dense, floor, 1.0)
             self.dense.setflags(write=False)
-        else:
-            self.kind = "per-class"
-            self.class_probs = (min(max(class_probs[0], floor), 1.0),
-                                min(max(class_probs[1], floor), 1.0))
-            self.marginal = min(max(marginal, floor), 1.0)
-            self.label_grid = label_grid  # m x n int8: observed label, or -1
+            return
+        for name, value in (("marginal", marginal), ("label_grid", label_grid)):
+            if value is None:
+                raise ValueError(f"class_probs needs {name}")
+        if np.shape(label_grid) != (m, n):
+            raise ValueError(f"label_grid must be {m} x {n}, got shape {np.shape(label_grid)}")
+        if label_grid.min() < -1 or label_grid.max() > 1:
+            raise ValueError("label_grid holds a value outside {-1, 0, 1}")
+        self.kind = "per-class"
+        self.class_probs = (min(max(class_probs[0], floor), 1.0),
+                            min(max(class_probs[1], floor), 1.0))
+        self.marginal = min(max(marginal, floor), 1.0)
+        self.label_grid = label_grid  # m x n int8: observed label, or -1
 
     def gather(self, users: np.ndarray, items: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """Per-sample propensities for observed pairs."""
@@ -96,13 +105,7 @@ class PropensityTable:
             raise IndexError(f"user id out of range [0, {self.m})")
         if self.kind == "dense":
             return self.dense[users]
-        out = np.full((len(users), self.n), self.marginal)
-        if self.label_grid is not None:
-            lab = self.label_grid[users]
-            p0, p1 = self.class_probs
-            out[lab == 0] = p0
-            out[lab == 1] = p1
-        return out
+        return np.array([self.marginal, *self.class_probs])[self.label_grid[users] + 1]
 
     def row(self, user: int) -> np.ndarray:
         """Length-n propensity vector for one user."""
@@ -181,60 +184,3 @@ def estimate_propensity_lr(bundle: DatasetBundle) -> PropensityTable:
     si = xi @ w[xu.shape[1]:]
     dense = 1.0 / (1.0 + np.exp(-(su[:, None] + si[None, :] + b)))
     return PropensityTable(m, n, PROPENSITY_FLOOR, dense=dense)
-
-
-def save_table(path, table) -> None:
-    """One header line, then float64 values; a per-class table stores (p0, p1,
-    marginal) and, when the header ends in 1, its m x n int8 label grid."""
-    if isinstance(table, PopularityTable):
-        header, values, grid = f"popularity 1 {len(table.values)} 0", table.values, None
-    elif table.kind == "dense":
-        header, values, grid = f"dense {table.m} {table.n} {table.floor}", table.dense, None
-    else:
-        grid = table.label_grid
-        header = f"per-class {table.m} {table.n} {table.floor} {int(grid is not None)}"
-        values = np.array([*table.class_probs, table.marginal])
-    with open(Path(path), "wb") as f:
-        f.write((header + "\n").encode())
-        f.write(np.ascontiguousarray(values, dtype=np.float64).tobytes())
-        if grid is not None:
-            f.write(np.ascontiguousarray(grid).tobytes())
-
-
-def load_table(path):
-    """Inverse of save_table; a malformed or truncated file is a DataFormatError."""
-    with open(Path(path), "rb") as f:
-        header_line, raw = f.readline(), f.read()
-    try:
-        header = header_line.decode().split()
-        kind, m, n, floor = header[0], int(header[1]), int(header[2]), float(header[3])
-        n_values = {"popularity": n, "dense": m * n, "per-class": 3}[kind]
-        if m < 1 or n < 1:
-            raise ValueError(f"shape {m} x {n}")
-    except (IndexError, ValueError, KeyError) as e:
-        raise DataFormatError(f"{path}: bad table header ({e})") from e
-    grid_bytes = m * n if header[4:] == ["1"] else 0
-    if len(raw) != 8 * n_values + grid_bytes:
-        raise DataFormatError(f"{path}: {kind} table payload is {len(raw)} bytes, "
-                              f"its header needs {8 * n_values + grid_bytes}")
-    values = np.frombuffer(raw, dtype=np.float64, count=n_values).copy()
-    if kind == "popularity":
-        if not ((values > 0) & (values <= 1)).all():  # NaN fails both comparisons
-            raise DataFormatError(f"{path}: a popularity value outside (0, 1]")
-        return PopularityTable(values)
-    grid = None
-    if kind == "per-class" and grid_bytes:
-        # frombuffer over bytes is read-only, like the grid the estimator builds
-        grid = np.frombuffer(raw, dtype=np.int8, offset=24).reshape(m, n)
-        if ((grid < -1) | (grid > 1)).any():
-            raise DataFormatError(f"{path}: label grid holds a byte outside {{-1, 0, 1}}")
-    layout = (dict(dense=values.reshape(m, n)) if kind == "dense" else
-              dict(class_probs=(values[0], values[1]), marginal=values[2], label_grid=grid))
-    try:
-        table = PropensityTable(m, n, floor, **layout)
-    except ValueError as e:  # the constructor's floor check
-        raise DataFormatError(f"{path}: {e}") from e
-    # save_table writes clipped values; the constructor's clip would pass a NaN through
-    if not ((values >= floor) & (values <= 1)).all():
-        raise DataFormatError(f"{path}: a propensity outside [{floor}, 1]")
-    return table

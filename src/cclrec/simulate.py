@@ -130,6 +130,10 @@ def generate(config: SimConfig, inclusion_draws: int = 10_000) -> SyntheticBundl
 
     weights = np.exp(config.exposure_skew * z)
     weights /= weights.sum()
+    positive = np.count_nonzero(weights)  # exp(skew * z) / sum underflows to 0 at a large skew
+    if positive < k:
+        raise ValueError(f"exposure_skew {config.exposure_skew} leaves {positive} of {n} items "
+                         f"a positive exposure weight; {k} train draws per user need {k}")
 
     train_uniforms = np.empty((m, k))
     test_picks = np.empty((m, t), dtype=np.int64)  # positions in the user's sorted rest:

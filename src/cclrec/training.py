@@ -100,10 +100,13 @@ class TrainConfig:
                     raise ValueError(f"config line {lineno}: {key} must be one of "
                                      f"{'/'.join(BOOL_WORDS)}, got {value!r}")
                 kwargs[key] = BOOL_WORDS[value.lower()]
-            elif kind in ("int", int):
-                kwargs[key] = int(value)
-            elif kind in ("float", float):
-                kwargs[key] = float(value)
+            elif kind in ("int", int, "float", float):
+                cast = int if kind in ("int", int) else float
+                try:
+                    kwargs[key] = cast(value)
+                except ValueError:
+                    raise ValueError(f"config line {lineno}: {key} must be {cast.__name__}, "
+                                     f"got {value!r}") from None
             else:
                 kwargs[key] = value
         return TrainConfig(**kwargs)

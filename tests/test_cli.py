@@ -201,10 +201,12 @@ class TestExitCodes:
         ("tau = inf", "tau must be finite, got inf"),
         ("weight_decay = -inf", "weight_decay must be finite, got -inf"),
         ("propensity_source = oracle", "no CLI dataset carries ground-truth propensities"),
+        ("batch_size = abc", "config line 2: batch_size must be int, got 'abc'"),
+        ("lam = x", "config line 2: lam must be float, got 'x'"),
     ])
     def test_config_file_value_that_train_cannot_run(self, triple_dir, tmp_path, capsys,
                                                       line, message):
-        # argparse choices guard flags, not config files: validate() must catch these
+        # argparse guards flags, not config files: from_kv and validate() must catch these
         cfg_file = tmp_path / "cfg.txt"
         cfg_file.write_text(f"max_epochs = 1\n{line}\n")
         code = main(["train", *triple_args(triple_dir), "--config", str(cfg_file),
@@ -315,6 +317,8 @@ class TestPrepareAndSimulate:
         ("--test-exposures-per-user", "-1", "test_exposures_per_user must be >= 0, got -1"),
         ("--exposure-skew", "nan", "exposure_skew must be finite and >= 0, got nan"),
         ("--exposure-skew", "2000", "exposure_skew 2000.0 overflows the exposure weights of 30 items"),
+        ("--exposure-skew", "1400", "exposure_skew 1400.0 leaves 18 of 30 items a positive "
+                                    "exposure weight; 20 train draws per user need 20"),
     ])
     def test_simulate_setting_rejected_by_name(self, tmp_path, capsys, flag, value, message):
         with warnings.catch_warnings(record=True) as caught:

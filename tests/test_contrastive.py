@@ -37,11 +37,10 @@ def reference_row(table, user):
     if table.kind == "dense":
         return table.dense[user]
     out = np.full(table.n, table.marginal)
-    if table.label_grid is not None:
-        lab = table.label_grid[user]
-        p0, p1 = table.class_probs
-        out[lab == 0] = p0
-        out[lab == 1] = p1
+    lab = table.label_grid[user]
+    p0, p1 = table.class_probs
+    out[lab == 0] = p0
+    out[lab == 1] = p1
     return out
 
 
@@ -203,7 +202,7 @@ class TestRandomCounterfactual:
         rng = np.random.default_rng(2)
         for _ in range(50):
             pick = sample_random_counterfactual(b, 0, 1, rng)
-            assert (0, pick) not in b.exposure
+            assert not b.exposure.contains([0], [pick])[0]
 
     def test_all_exposed_falls_back_to_other_items(self):
         b = make_bundle(1, 3, [(0, 0), (0, 1), (0, 2)])
@@ -257,15 +256,13 @@ def ps_pop_cases(draw):
     m, n = draw(st.integers(1, 4)), draw(st.integers(1, 6))
     levels = draw(st.lists(st.sampled_from(LEVELS), min_size=2, max_size=3, unique=True))
     value = st.sampled_from(levels)
-    kind = draw(st.sampled_from(["dense", "per-class", "per-class + grid"]))
+    kind = draw(st.sampled_from(["dense", "per-class"]))
     if kind == "dense":
         dense = np.array(draw(st.lists(value, min_size=m * n, max_size=m * n))).reshape(m, n)
         table = PropensityTable(m, n, 1e-6, dense=dense)
     else:
-        grid = None
-        if kind == "per-class + grid":
-            grid = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=m * n, max_size=m * n))
-            grid = np.array(grid, dtype=np.int8).reshape(m, n)
+        grid = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=m * n, max_size=m * n))
+        grid = np.array(grid, dtype=np.int8).reshape(m, n)
         table = PropensityTable(m, n, 1e-6, class_probs=(draw(value), draw(value)),
                                 marginal=draw(value), label_grid=grid)
     pop = PopularityTable(np.array(draw(st.lists(value, min_size=n, max_size=n))))
@@ -495,7 +492,7 @@ class TestBuildViews:
         batch = build_views(b, params, np.array([0, 2]), np.array([1, 5]),
                             "cf", tau=1.0, rng=rng)
         for u, pos in zip(batch.users, batch.positive_items):
-            assert (int(u), int(pos)) not in b.exposure
+            assert not b.exposure.contains([u], [pos])[0]
 
     def test_unknown_sampler(self, setting):
         b, params = setting

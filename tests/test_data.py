@@ -83,7 +83,7 @@ class TestLoadCoat:
         b = load_coat(tiny_coat)
         assert len(b.exposure) == len(b.train)
         for u, i in zip(b.train.users, b.train.items):
-            assert (u, i) in b.exposure
+            assert b.exposure.contains([u], [i])[0]
 
     def test_ragged_row_rejected(self, tmp_path):
         (tmp_path / "train.ascii").write_text("1 2 3\n4 5\n")
@@ -371,7 +371,7 @@ class TestExposureMatrix:
             assert ex.user_items(u).tolist() == per_user[u]
         grid = [(u, i) for u in range(-1, m + 1) for i in range(-1, n + 1)]
         want = [pair in pairs for pair in grid]
-        assert [pair in ex for pair in grid] == want
+        assert [ex.contains([u], [i])[0] for u, i in grid] == want
         gu, gi = zip(*grid)
         assert ex.contains(np.array(gu), np.array(gi)).tolist() == want
         assert ex.item_counts().tolist() == np.bincount(items, minlength=n).tolist()
@@ -390,7 +390,7 @@ class TestExposureMatrix:
 
     def test_empty(self):
         ex = _exposure(2, 3, [], [])
-        assert len(ex) == 0 and (0, 0) not in ex
+        assert len(ex) == 0 and not ex.contains([0], [0])[0]
         assert ex.user_items(1).tolist() == [] and ex.item_counts().tolist() == [0, 0, 0]
 
     @pytest.mark.parametrize("user, item", [(2, 0), (-1, 0), (0, 3), (0, -1)])

@@ -3,7 +3,6 @@ import pytest
 
 from cclrec import propensity as P
 from cclrec.data import (
-    DataFormatError,
     DatasetBundle,
     ExposureMatrix,
     FeatureTable,
@@ -14,9 +13,7 @@ from cclrec.propensity import (
     estimate_popularity,
     estimate_propensity_lr,
     estimate_propensity_nb,
-    load_table,
     popularity_from_counts,
-    save_table,
 )
 
 
@@ -31,8 +28,8 @@ def make_bundle(m, n, train_triplets, test_triplets=None,
         test = InteractionTable.from_lists((), (), ())
     return DatasetBundle(
         m=m, n=n, train=train, test=test, exposure=ExposureMatrix(m, n, train),
-        user_features=FeatureTable("user", user_features) if user_features is not None else None,
-        item_features=FeatureTable("item", item_features) if item_features is not None else None)
+        user_features=FeatureTable(user_features) if user_features is not None else None,
+        item_features=FeatureTable(item_features) if item_features is not None else None)
 
 
 def _estimate_propensity_lr_per_pair(bundle):
@@ -167,7 +164,8 @@ class TestRowsRejectUsersOutOfRange:
         train = InteractionTable.from_lists([0, 1], [0, 1], [5, 1])
         dense = PropensityTable(2, 3, 0.05, dense=np.full((2, 3), 0.5))
         grid = estimate_propensity_nb(train, train, m=2, n=3)
-        plain = PropensityTable(2, 3, 0.05, class_probs=(0.2, 0.4), marginal=0.3)
+        plain = PropensityTable(2, 3, 0.05, class_probs=(0.2, 0.4), marginal=0.3,
+                                label_grid=np.full((2, 3), -1, dtype=np.int8))
         return dense, grid, plain
 
     @pytest.mark.parametrize("user", [-1, -2, 2, 7])
@@ -234,7 +232,8 @@ class TestClip:
             with pytest.raises(ValueError, match="floor"):
                 PropensityTable(1, 1, floor, dense=np.array([[0.5]]))
             with pytest.raises(ValueError, match="floor"):
-                PropensityTable(1, 1, floor, class_probs=(0.2, 0.4), marginal=0.3)
+                PropensityTable(1, 1, floor, class_probs=(0.2, 0.4), marginal=0.3,
+                                label_grid=np.array([[-1]], dtype=np.int8))
 
     def test_per_class_floor_applied(self):
         grid = np.array([[1, -1, 0]], dtype=np.int8)
@@ -242,108 +241,36 @@ class TestClip:
         assert t.row(0).tolist() == [0.4, 0.05, 0.05]
 
 
-class TestSerialization:
-    def test_dense_round_trip(self, tmp_path):
-        t = PropensityTable(2, 3, 0.05, dense=np.linspace(0.1, 0.9, 6).reshape(2, 3))
-        save_table(tmp_path / "t.bin", t)
-        loaded = load_table(tmp_path / "t.bin")
-        assert (loaded.dense == t.dense).all()
-        assert loaded.floor == t.floor
 
-    def test_per_class_round_trip(self, tmp_path):
-        train = InteractionTable.from_lists([0], [0], [5])
-        mcar = InteractionTable.from_lists([0, 0], [0, 1], [5, 1])
-        t = estimate_propensity_nb(train, mcar, m=1, n=2)
-        save_table(tmp_path / "t.bin", t)
-        loaded = load_table(tmp_path / "t.bin")
-        assert loaded.class_probs == t.class_probs
-        assert loaded.marginal == t.marginal
-        assert loaded.row(0).tolist() == t.row(0).tolist()
-        users, items, labels = np.array([0]), np.array([0]), np.array([1])
-        got = loaded.gather(users, items, labels)
-        assert got.tolist() == t.gather(users, items, labels).tolist()
+class TestConstructorChecks:
+    """A table that `rows` would read wrongly is refused, naming the argument."""
 
-    def test_popularity_round_trip(self, tmp_path):
-        pop = popularity_from_counts([1, 2, 3])
-        save_table(tmp_path / "p.bin", pop)
-        loaded = load_table(tmp_path / "p.bin")
-        assert (loaded.values == pop.values).all()
+    GRID = np.array([[1, -1, 0], [-1, 0, 1]], dtype=np.int8)
 
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 4), (3, 3), (6,), (1, 2, 3)])
+    def test_dense_that_is_not_m_by_n(self, shape):
+        with pytest.raises(ValueError, match=r"dense must be 2 x 3"):
+            PropensityTable(2, 3, 0.05, dense=np.full(shape, 0.5))
 
-class TestSerializationErrors:
-    @pytest.mark.parametrize("cut", [1, 8, 24])
-    def test_truncated_per_class_table(self, tmp_path, cut):
-        train = InteractionTable.from_lists([0, 1], [0, 2], [5, 1])
-        mcar = InteractionTable.from_lists([0, 1, 1], [1, 0, 1], [5, 1, 4])
-        save_table(tmp_path / "t.bin", estimate_propensity_nb(train, mcar, m=2, n=3))
-        raw = (tmp_path / "t.bin").read_bytes()
-        (tmp_path / "t.bin").write_bytes(raw[:-cut])
-        with pytest.raises(DataFormatError, match="payload"):
-            load_table(tmp_path / "t.bin")
+    def test_per_class_without_marginal(self):
+        with pytest.raises(ValueError, match="marginal"):
+            PropensityTable(2, 3, 0.05, class_probs=(0.2, 0.4), label_grid=self.GRID)
 
-    def test_truncated_dense_table(self, tmp_path):
-        save_table(tmp_path / "t.bin", PropensityTable(2, 3, 0.05, dense=np.full((2, 3), 0.5)))
-        (tmp_path / "t.bin").write_bytes((tmp_path / "t.bin").read_bytes()[:-8])
-        with pytest.raises(DataFormatError):
-            load_table(tmp_path / "t.bin")
+    def test_per_class_without_label_grid(self):
+        with pytest.raises(ValueError, match="label_grid"):
+            PropensityTable(2, 3, 0.05, class_probs=(0.2, 0.4), marginal=0.3)
 
-    def test_per_class_table_without_grid_round_trips(self, tmp_path):
-        t = PropensityTable(1, 2, 0.05, class_probs=(0.2, 0.4), marginal=0.3)
-        save_table(tmp_path / "t.bin", t)
-        assert load_table(tmp_path / "t.bin").row(0).tolist() == [0.3, 0.3]
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 4), (6,)])
+    def test_label_grid_that_is_not_m_by_n(self, shape):
+        with pytest.raises(ValueError, match="label_grid must be 2 x 3"):
+            PropensityTable(2, 3, 0.05, class_probs=(0.2, 0.4), marginal=0.3,
+                            label_grid=np.zeros(shape, dtype=np.int8))
 
-    @pytest.mark.parametrize("byte", [7, -2])
-    def test_label_grid_byte_outside_its_values(self, tmp_path, byte):
-        train = InteractionTable.from_lists([0, 1], [0, 2], [5, 1])
-        mcar = InteractionTable.from_lists([0, 1, 1], [1, 0, 1], [5, 1, 4])
-        save_table(tmp_path / "t.bin", estimate_propensity_nb(train, mcar, m=2, n=3))
-        raw = bytearray((tmp_path / "t.bin").read_bytes())
-        raw[-1] = byte % 256  # the grid is the last m x n bytes
-        (tmp_path / "t.bin").write_bytes(bytes(raw))
-        with pytest.raises(DataFormatError, match="label grid"):
-            load_table(tmp_path / "t.bin")
+    @pytest.mark.parametrize("code", [-2, 2, 7, -128])
+    def test_label_grid_code_outside_its_values(self, code):
+        # the lookup [marginal, p0, p1][grid + 1] would read -2 as p1, 2 past the end
+        grid = self.GRID.copy()
+        grid[1, 2] = code
+        with pytest.raises(ValueError, match="label_grid holds a value outside"):
+            PropensityTable(2, 3, 0.05, class_probs=(0.2, 0.4), marginal=0.3, label_grid=grid)
 
-    @pytest.mark.parametrize("floor", [b"nan", b"2", b"0"])
-    @pytest.mark.parametrize("kind", ["dense", "per-class"])
-    def test_header_floor_outside_unit_interval(self, tmp_path, kind, floor):
-        # a floor of nan would load as an all-NaN table, one of 2 as all ones
-        t = (PropensityTable(2, 3, 0.05, dense=np.full((2, 3), 0.5)) if kind == "dense" else
-             PropensityTable(2, 3, 0.05, class_probs=(0.2, 0.4), marginal=0.3))
-        save_table(tmp_path / "t.bin", t)
-        raw = (tmp_path / "t.bin").read_bytes()
-        (tmp_path / "t.bin").write_bytes(raw.replace(b" 0.05", b" " + floor, 1))
-        with pytest.raises(DataFormatError, match="floor must be in"):
-            load_table(tmp_path / "t.bin")
-
-    def test_bad_header(self, tmp_path):
-        (tmp_path / "t.bin").write_bytes(b"matrix 1 2 0.1\n")
-        with pytest.raises(DataFormatError):
-            load_table(tmp_path / "t.bin")
-
-    @pytest.mark.parametrize("header,payload", [
-        (b"per-class -1 -3 0.05 1", 27),  # the grid's reshape raised a bare ValueError
-        (b"dense -1 -2 0.05", 16),
-        (b"popularity 1 0 0", 0),
-    ])
-    def test_header_shape_below_one(self, tmp_path, header, payload):
-        (tmp_path / "t.bin").write_bytes(header + b"\n" + bytes(payload))
-        with pytest.raises(DataFormatError, match="bad table header"):
-            load_table(tmp_path / "t.bin")
-
-    @pytest.mark.parametrize("kind,value", [
-        *((kind, value) for kind in ("dense", "per-class")
-          for value in (np.nan, np.inf, -np.inf, 0.01, 1.5)),  # floor 0.05
-        *(("popularity", value) for value in (np.nan, np.inf, -1.0, 0.0, 1.5)),
-    ])
-    def test_value_save_table_never_writes(self, tmp_path, kind, value):
-        # np.clip and the per-class min / max would pass a NaN on to the IPS weights
-        table = {"dense": lambda: PropensityTable(2, 3, 0.05, dense=np.full((2, 3), 0.5)),
-                 "per-class": lambda: PropensityTable(2, 3, 0.05, class_probs=(0.2, 0.4),
-                                                      marginal=0.3),
-                 "popularity": lambda: popularity_from_counts([1, 2, 3])}[kind]()
-        save_table(tmp_path / "t.bin", table)
-        raw = (tmp_path / "t.bin").read_bytes()
-        at = raw.index(b"\n") + 1  # the first value
-        (tmp_path / "t.bin").write_bytes(raw[:at] + np.float64(value).tobytes() + raw[at + 8:])
-        with pytest.raises(DataFormatError, match="outside"):
-            load_table(tmp_path / "t.bin")

@@ -61,6 +61,18 @@ class TestConfig:
 
 
 class TestGenerate:
+    def test_skew_whose_exposure_weights_underflow(self):
+        # exp(1400 z) / sum rounds to 0 for 12 of the 30 items of seed 0
+        with pytest.raises(ValueError, match="^exposure_skew 1400.0 leaves 18 of 30 items a "
+                                             "positive exposure weight; 20 train draws per "
+                                             "user need 20$"):
+            generate(SimConfig(m=5, n=30, exposure_skew=1400.0), inclusion_draws=10)
+
+    def test_large_skew_that_keeps_enough_positive_weights(self):
+        synth = generate(SimConfig(m=5, n=30, exposure_skew=800.0), inclusion_draws=10)
+        assert np.count_nonzero(synth.exposure_weights) >= 20
+        assert len(synth.dataset.train) == 5 * 20
+
     def test_uniform_exposure_is_equitable(self):
         synth = generate(SimConfig(exposure_skew=0.0, seed=0), inclusion_draws=10)
         assert exposure_gini(synth.dataset) < 0.1

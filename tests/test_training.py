@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -121,6 +122,16 @@ class TestConfig:
     def test_kv_rejects_removed_and_foreign_keys(self, key):
         with pytest.raises(ValueError, match=f"unknown key '{key}'"):
             TrainConfig.from_kv(f"{key} = 1\n")
+
+    @pytest.mark.parametrize("line, message", [
+        ("batch_size = abc", "config line 2: batch_size must be int, got 'abc'"),
+        ("max_epochs = 1.5", "config line 2: max_epochs must be int, got '1.5'"),
+        ("lam = x", "config line 2: lam must be float, got 'x'"),
+        ("tau =", "config line 2: tau must be float, got ''"),
+    ])
+    def test_kv_rejects_unreadable_number_by_line_and_key(self, line, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TrainConfig.from_kv(f"seed = 1\n{line}\n")
 
     def test_kv_reports_line_number(self):
         with pytest.raises(ValueError, match="line 2"):
