@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cclrec.data import DatasetBundle, unexposed_items
-from cclrec.model import ModelParams, split_map
+from cclrec.model import ModelParams, add_rows, embedding_rows, split_map
 from cclrec.propensity import PopularityTable, PropensityTable
 
 SAMPLER_KINDS = ("cf", "ps", "pop")
@@ -208,23 +208,17 @@ def build_views(bundle: DatasetBundle, params: ModelParams,
 
 def assemble_views(params: ModelParams, users: np.ndarray, items: np.ndarray,
                    pos_items: np.ndarray) -> np.ndarray:
-    """Interleaved 2N x 2d matrix of concatenated embeddings."""
-    n_pairs = len(users)
-    d = params.d
-    reps = np.empty((2 * n_pairs, 2 * d))
-    h_u = params.user_embeddings[users]
-    reps[0::2, :d] = h_u
-    reps[1::2, :d] = h_u
-    reps[0::2, d:] = params.item_embeddings[items]
-    reps[1::2, d:] = params.item_embeddings[pos_items]
-    return reps
+    """Interleaved 2N x 2d matrix of concatenated embeddings, from one take."""
+    rows = embedding_rows(params, np.repeat(users, 2), np.column_stack([items, pos_items]).ravel())
+    return np.take(params.embeddings, rows, axis=0).reshape(2 * len(users), 2 * params.d)
 
 
 def scatter_view_grads(params: ModelParams, batch: CCLBatch, grad_reps: np.ndarray,
                        grads: ModelParams, scale: float = 1.0) -> None:
-    """Accumulate representation gradients into embedding-row gradients."""
-    d = params.d
+    """Accumulate representation gradients into embedding-row gradients: the users',
+    then the anchor items', then the positive items', in one scatter."""
+    d, m = params.d, params.user_embeddings.shape[0]
     g = scale * grad_reps
-    np.add.at(grads.user_embeddings, batch.users, g[0::2, :d] + g[1::2, :d])
-    np.add.at(grads.item_embeddings, batch.anchor_items, g[0::2, d:])
-    np.add.at(grads.item_embeddings, batch.positive_items, g[1::2, d:])
+    rows = np.concatenate([batch.users, m + batch.anchor_items, m + batch.positive_items])
+    values = np.concatenate([g[0::2, :d] + g[1::2, :d], g[0::2, d:], g[1::2, d:]])
+    add_rows(grads.embeddings, rows, values)

@@ -6,6 +6,10 @@ ascending tie-break. Users without a relevant test item contribute 0 to
 the ranking means and are counted in the report. `ranking_metrics` holds
 the one implementation of every ranking metric; `ranking_report` adds the
 pooled MAE and AUC, the Mann-Whitney rank sum over numpy average ranks.
+
+One ascending argsort of the scores serves both: the AUC's tie groups come
+from it, and so does each row's tie-group rank, which with the user and the
+item forms one int64 key whose stable argsort is the ranking order.
 """
 
 from __future__ import annotations
@@ -50,23 +54,37 @@ def mae(predictions, labels) -> float:
     return float(np.abs(predictions - labels).mean())
 
 
-def auc(predictions, labels) -> float:
-    """P(random positive outranks random negative), ties counted 1/2."""
-    predictions = np.asarray(predictions, dtype=np.float64)
+def _tie_groups(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The ascending argsort of `scores`, the sorted position where each tie group
+    starts, and whether the last group is NaN. numpy sorts NaN after every number,
+    and all NaNs form one group, as lexsort keeps them together."""
+    order = np.argsort(scores)
+    s = scores[order]
+    new = np.r_[True, s[1:] != s[:-1]]
+    n_nan = int(np.isnan(s).sum())
+    new[len(s) - n_nan + 1:] = False  # NaN != NaN, yet the NaNs tie
+    return order, np.flatnonzero(new), n_nan > 0
+
+
+def _auc(labels, order: np.ndarray, starts: np.ndarray, nan: bool) -> float:
+    """auc, from the tie groups of one ascending sort of the scores."""
     labels = np.asarray(labels)
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC undefined: needs both label classes")
-    if np.isnan(predictions).any():
+    if nan:
         return float("nan")
-    order = np.argsort(predictions)
-    s = predictions[order]
-    starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])  # first row of each tie group
-    ends = np.r_[starts[1:], len(s)]
-    ranks = np.empty(len(s))
+    ends = np.r_[starts[1:], len(order)]
+    ranks = np.empty(len(order))
     ranks[order] = np.repeat((starts + ends + 1) / 2, ends - starts)
     return float((ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
+
+
+def auc(predictions, labels) -> float:
+    """P(random positive outranks random negative), ties counted 1/2."""
+    predictions = np.asarray(predictions, dtype=np.float64)
+    return _auc(labels, *_tie_groups(predictions))
 
 
 def gini(counts) -> float:
@@ -94,18 +112,47 @@ def _row_prefix_sums(values: np.ndarray, widths: np.ndarray) -> np.ndarray:
     return out
 
 
+def _ranked_rows(users: np.ndarray, items: np.ndarray, scores: np.ndarray, n_items: int,
+                 order: np.ndarray, starts: np.ndarray, nan: bool) -> np.ndarray:
+    """The rows in np.lexsort((items, -scores, users)) order, by one stable argsort
+    of the int64 key (user, descending tie-group rank, item); items lie in
+    [0, n_items). Where the key could reach 2**63 the rows are lexsorted instead.
+    """
+    n_groups = len(starts)
+    lo = int(users.min())
+    if (int(users.max()) - lo + 1) * n_groups * n_items > 2**63:
+        return np.lexsort((items, -scores, users))
+    # ascending group g ranks n_numbers - 1 - g, the largest number first; a NaN
+    # group's -1 wraps round to the last rank, as lexsort sorts -NaN last
+    n_numbers = n_groups - nan
+    rank = (n_numbers - 1 - np.arange(n_groups)) % n_groups
+    row_rank = np.empty(len(order), dtype=np.int64)
+    row_rank[order] = np.repeat(rank, np.diff(np.r_[starts, len(order)]))
+    key = (np.subtract(users, lo, dtype=np.int64) * n_groups + row_rank) * n_items + items
+    return np.argsort(key, kind="stable")
+
+
 def ranking_metrics(users: np.ndarray, items: np.ndarray, scores: np.ndarray,
                     labels: np.ndarray, n_items: int) -> dict:
-    """The MetricsReport fields that need the ranking, from one sort of the rows
-    by (user, score descending, item).
+    """The MetricsReport fields that need the ranking.
 
-    Each metric is a reduction over the users' segments of the sorted rows;
-    Gini and global utility read each user's top CUTOFF rows. No AUC is
-    computed, so a table with one label class is accepted.
+    Each metric is a reduction over the users' segments of the rows sorted by
+    (user, score descending, item); Gini and global utility read each user's
+    top CUTOFF rows. No AUC is computed, so a table with one label class is
+    accepted. Every item must lie in [0, n_items).
     """
+    scores = np.asarray(scores, dtype=np.float64)
+    return _ranking_metrics(users, items, scores, labels, n_items, _tie_groups(scores))
+
+
+def _ranking_metrics(users, items, scores, labels, n_items, ties) -> dict:
+    """ranking_metrics, given the tie groups of the scores (see _tie_groups)."""
     if len(users) == 0:
         raise ValueError("empty test table")
-    order = np.lexsort((items, -scores, users))
+    if items.min() < 0 or items.max() >= n_items:
+        raise ValueError(f"items must lie in [0, n_items) = [0, {n_items}), "
+                         f"got {items.min()}..{items.max()}")
+    order = _ranked_rows(users, items, scores, n_items, *ties)
     grouped, rel, ranked_items = users[order], labels[order], items[order]
     starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
     n_users = len(starts)
@@ -154,9 +201,12 @@ def ranking_metrics(users: np.ndarray, items: np.ndarray, scores: np.ndarray,
 
 def ranking_report(users: np.ndarray, items: np.ndarray, scores: np.ndarray,
                    labels: np.ndarray, n_items: int) -> MetricsReport:
-    """The metric suite: the ranking metrics plus MAE and AUC pooled over all rows."""
-    ranking = ranking_metrics(users, items, scores, labels, n_items)
-    return MetricsReport(mae=mae(scores, labels), auc=auc(scores, labels), **ranking)
+    """The metric suite: the ranking metrics plus MAE and AUC pooled over all rows,
+    both from one sort of the scores."""
+    scores = np.asarray(scores, dtype=np.float64)
+    ties = _tie_groups(scores)
+    ranking = _ranking_metrics(users, items, scores, labels, n_items, ties)
+    return MetricsReport(mae=mae(scores, labels), auc=_auc(labels, *ties), **ranking)
 
 
 def predict(params: ModelParams, users: np.ndarray, items: np.ndarray) -> np.ndarray:

@@ -6,9 +6,12 @@ float64 and deterministic; gradients are exact reverse-mode derivatives
 verified against finite differences in the test suite. `forward` keeps
 only each layer's input (the ReLU is taken in place), and `backward` reads
 its ReLU mask from those. A `ModelParams` keeps its arrays in one contiguous
-vector. `split_map` spreads a large Adam step and the contrastive kernel's
-row blocks over the CPUs of the affinity mask, on one thread pool; the
-bytes do not depend on it.
+vector, the user table right before the item table, so `embeddings` stacks
+both: `forward` gathers every input row with one take from it, and
+`backward` scatters the rows' gradients back with one `add_rows`.
+`split_map` spreads a large Adam step and the contrastive kernel's row
+blocks over the CPUs of the affinity mask, on one thread pool; the bytes do
+not depend on it.
 """
 
 from __future__ import annotations
@@ -55,8 +58,11 @@ class ModelParams:
     def _bind(self, flat: np.ndarray, shapes: list[tuple[int, ...]]) -> None:
         bounds = np.cumsum([0] + [math.prod(shape) for shape in shapes])
         views = [flat[lo:hi].reshape(shape) for lo, hi, shape in zip(bounds, bounds[1:], shapes)]
+        if shapes[0][1] != shapes[1][1]:
+            raise ValueError(f"embedding shapes {shapes[0]} and {shapes[1]}: need the same width")
         self.flat = flat
         self.user_embeddings, self.item_embeddings = views[0], views[1]  # m x d, n x d
+        self.embeddings = flat[:bounds[2]].reshape(-1, shapes[0][1])  # both, stacked: (m+n) x d
         self.layers = list(zip(views[2::2], views[3::2]))  # (W in x out, b out), last out=1
 
     @property
@@ -109,12 +115,30 @@ class PredictionBatch:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below, bit for bit.
+
+    min(z, -z) is -|z| except that a NaN keeps its sign bit, as in exp(z).
+    """
+    t = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0, t) / (1.0 + t)
+
+
+def embedding_rows(params: ModelParams, users: np.ndarray, items: np.ndarray) -> np.ndarray:
+    """Rows of params.embeddings, interleaved [user_0, item_0, user_1, ...]: taken
+    in this order, 2B rows of width d are the B input rows of width 2d."""
+    rows = np.empty(2 * len(users), dtype=np.int64)
+    rows[0::2] = users
+    np.add(items, params.user_embeddings.shape[0], out=rows[1::2])
+    return rows
+
+
+def add_rows(table: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """np.add.at(table, rows, values) for a 2-D table, as one 1-D np.add.at over
+    element indices: each element gets the same additions in the same order. A
+    table that cannot be flattened without a copy is a ValueError."""
+    d = table.shape[1]
+    elements = (np.asarray(rows, dtype=np.int64)[:, None] * d + np.arange(d)).ravel()
+    np.add.at(table.reshape(-1, copy=False), elements, np.ravel(values))
 
 
 def forward(params: ModelParams, users: np.ndarray, items: np.ndarray) -> PredictionBatch:
@@ -125,11 +149,9 @@ def forward(params: ModelParams, users: np.ndarray, items: np.ndarray) -> Predic
         raise IndexError("user id out of range")
     if len(items) and (items.min() < 0 or items.max() >= n):
         raise IndexError("item id out of range")
-    d = params.d
-    x = np.empty((len(users), 2 * d))  # both gathers write into it; ids are checked above
-    np.take(params.user_embeddings, users, axis=0, out=x[:, :d], mode="clip")
-    np.take(params.item_embeddings, items, axis=0, out=x[:, d:], mode="clip")
-    act = [x]
+    # one contiguous gather for both halves; ids are checked above
+    x = np.take(params.embeddings, embedding_rows(params, users, items), axis=0, mode="clip")
+    act = [x.reshape(len(users), 2 * params.d)]
     for W, b in params.layers[:-1]:
         z = act[-1] @ W + b
         act.append(np.maximum(z, 0.0, out=z))
@@ -199,9 +221,8 @@ def backward(params: ModelParams, batch: PredictionBatch, labels: np.ndarray,
         delta = delta @ W.T
         if li > 0:
             delta = delta * (batch.activations[li] > 0)
-    d = params.d
-    np.add.at(grads.user_embeddings, batch.users, delta[:, :d])
-    np.add.at(grads.item_embeddings, batch.items, delta[:, d:])
+    add_rows(grads.embeddings, embedding_rows(params, batch.users, batch.items),
+             delta.reshape(-1, params.d))
     return grads
 
 

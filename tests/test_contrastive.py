@@ -601,3 +601,23 @@ class TestScatterViewGrads:
         np.testing.assert_allclose(grads.user_embeddings[0], [4.0, 4.0])
         np.testing.assert_allclose(grads.item_embeddings[1], [2.0, 2.0])
         np.testing.assert_allclose(grads.item_embeddings[2], [1.0, 1.0])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_three_row_scatters_bit_for_bit(self, seed):
+        # the users', then the anchors', then the positives' 2-D np.add.at; items are
+        # both anchors and positives, and the buffer already holds a gradient
+        rng = np.random.default_rng(seed)
+        params = init_params(5, 4, 3, 1, rng)
+        users, items, pos = rng.integers(0, 5, 300), rng.integers(0, 4, 300), rng.integers(0, 4, 300)
+        batch = CCLBatch(assemble_views(params, users, items, pos), 1.0,
+                         users=users, anchor_items=items, positive_items=pos)
+        grad_reps = rng.normal(size=(600, 6)) * 10.0 ** rng.integers(-8, 17, (600, 6))
+        grads = ModelParams.zeros_like(params)
+        grads.flat[:] = rng.normal(size=grads.flat.size)
+        want = grads.copy()
+        g = 0.7 * grad_reps
+        np.add.at(want.user_embeddings, users, g[0::2, :3] + g[1::2, :3])
+        np.add.at(want.item_embeddings, items, g[0::2, 3:])
+        np.add.at(want.item_embeddings, pos, g[1::2, 3:])
+        scatter_view_grads(params, batch, grad_reps, grads, scale=0.7)
+        assert np.array_equal(grads.flat.view(np.uint64), want.flat.view(np.uint64))

@@ -9,6 +9,8 @@ from cclrec.data import DatasetBundle, ExposureMatrix, InteractionTable
 from cclrec.metrics import (
     SCORE_ROWS,
     MetricsReport,
+    _ranked_rows,
+    _tie_groups,
     auc,
     evaluate,
     gini,
@@ -297,6 +299,82 @@ class TestRankUsers:
     def test_empty(self):
         empty = np.array([], dtype=np.int64)
         assert rank_users(empty, empty, np.array([]), empty) == []
+
+
+def shared_sort_order(users, items, scores, n_items):
+    scores = np.asarray(scores, dtype=np.float64)
+    return _ranked_rows(users, items, scores, n_items, *_tie_groups(scores))
+
+
+def lexsort_order(users, items, scores):
+    return np.lexsort((items, -np.asarray(scores, dtype=np.float64), users))
+
+
+# scores whose order lexsort has rules for: NaNs (either sign) after every number, +0 == -0
+ODD_SCORES = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 1.0, -1.0, 0.5, 1e-300])
+
+
+class TestRankedRows:
+    """The order from the shared score sort equals np.lexsort((items, -scores, users))."""
+
+    @given(st.integers(0, 10_000), st.sampled_from(["ties", "odd", "all-nan", "distinct"]))
+    def test_equals_lexsort(self, seed, kind):
+        # rows come shuffled, not grouped by user, and (user, item) pairs repeat
+        rng = np.random.default_rng(seed)
+        k, n_items = int(rng.integers(1, 120)), int(rng.integers(1, 12))
+        users, items = rng.integers(0, 6, k), rng.integers(0, n_items, k)
+        scores = {"ties": lambda: rng.integers(0, 3, k) / 2,
+                  "odd": lambda: rng.choice(ODD_SCORES, k),
+                  "all-nan": lambda: np.full(k, np.nan),
+                  "distinct": lambda: rng.random(k)}[kind]()
+        assert np.array_equal(shared_sort_order(users, items, scores, n_items),
+                              lexsort_order(users, items, scores))
+
+    def test_nan_ranks_after_every_number_of_its_user(self):
+        users, items = np.array([0, 0, 0, 1]), np.array([0, 1, 2, 0])
+        scores = np.array([np.nan, -np.inf, 0.5, np.nan])
+        assert shared_sort_order(users, items, scores, 3).tolist() == [2, 1, 0, 3]
+
+    def test_signed_zeros_tie_and_items_break_the_tie(self):
+        users, items = np.zeros(3, dtype=np.int64), np.array([2, 0, 1])
+        assert shared_sort_order(users, items, np.array([0.0, -0.0, 0.0]), 3).tolist() == [1, 2, 0]
+
+    def test_one_row(self):
+        one = np.array([4])
+        assert shared_sort_order(one, np.array([0]), np.array([0.3]), 1).tolist() == [0]
+
+    def test_user_id_too_large_for_the_key_takes_lexsort(self):
+        rng = np.random.default_rng(3)
+        users = rng.choice([0, 7, 2**45], 3000)
+        items, n_items = rng.integers(0, 4096, 3000), 4096
+        scores = rng.integers(0, 100, 3000) / 7
+        scores[::50] = np.nan
+        groups = len(np.unique(scores[~np.isnan(scores)])) + 1
+        assert (2**45 + 1) * groups * n_items > 2**63  # the int64 key cannot hold it
+        assert np.array_equal(shared_sort_order(users, items, scores, n_items),
+                              lexsort_order(users, items, scores))
+
+    def test_yahoo_shaped_table(self):
+        rng = np.random.default_rng(4)
+        users = rng.permutation(np.repeat(np.arange(15_400), 4))
+        items = rng.integers(0, 1_000, len(users))
+        scores = np.round(rng.random(len(users)), 3)  # about 1,000 tie groups
+        assert np.array_equal(shared_sort_order(users, items, scores, 1_000),
+                              lexsort_order(users, items, scores))
+
+
+class TestItemRange:
+    @pytest.mark.parametrize("bad", [3, 4, -1])
+    @pytest.mark.parametrize("fn", [ranking_metrics, ranking_report])
+    def test_item_outside_n_items_is_refused(self, fn, bad):
+        users, items = np.array([0, 0, 1]), np.array([0, bad, 2])
+        with pytest.raises(ValueError, match="n_items"):
+            fn(users, items, np.array([0.2, 0.5, 0.1]), np.array([1, 0, 1]), 3)
+
+    def test_last_item_is_accepted(self):
+        got = ranking_metrics(np.array([0, 0]), np.array([0, 2]), np.array([0.2, 0.5]),
+                              np.array([1, 0]), 3)
+        assert got["users_evaluated"] == 1
 
 
 REPORT_FIELDS = MetricsReport.COLUMNS + ("users_evaluated", "users_without_relevant")

@@ -75,6 +75,43 @@ class TestForward:
         out = M.forward(small_params, np.arange(4), np.arange(4))
         assert ((out.y > 0) & (out.y < 1)).all()
 
+    @pytest.mark.parametrize("rows", [0, 1, 7, 512])
+    def test_input_rows_are_the_two_gathers_side_by_side(self, rows):
+        rng = np.random.default_rng(rows)
+        params = M.init_params(30, 20, 4, 1, rng)
+        users, items = rng.integers(0, 30, rows), rng.integers(0, 20, rows)
+        want = np.hstack([params.user_embeddings[users], params.item_embeddings[items]])
+        x = M.forward(params, users, items).activations[0]
+        assert x.shape == (rows, 8) and np.array_equal(x, want)
+
+
+def two_branch_sigmoid(z):
+    """1 / (1 + exp(-z)) where z >= 0 and exp(z) / (1 + exp(z)) elsewhere."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+SIGMOID_EDGES = [0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 800.0, -800.0,
+                 np.inf, -np.inf, np.nan, -np.nan]
+
+
+class TestSigmoid:
+    @pytest.mark.parametrize("z", SIGMOID_EDGES)
+    @pytest.mark.parametrize("length", [1, 3, 8, 17])  # SIMD tails and full lanes
+    def test_each_edge_equals_two_branches_bit_for_bit(self, z, length):
+        x = np.full(length, z)
+        assert np.array_equal(M._sigmoid(x).view(np.uint64), two_branch_sigmoid(x).view(np.uint64))
+
+    def test_mixed_values_equal_two_branches_bit_for_bit(self):
+        rng = np.random.default_rng(0)
+        x = np.concatenate([SIGMOID_EDGES, Z_GRID, rng.normal(scale=20, size=5000)])
+        x = x[rng.permutation(len(x))]
+        assert np.array_equal(M._sigmoid(x).view(np.uint64), two_branch_sigmoid(x).view(np.uint64))
+
 
 def mean_loss(y, labels, gamma=0.0):
     """The batch-mean rating loss, as the validation loss computes it."""
@@ -315,6 +352,35 @@ class TestBackward:
         np.testing.assert_allclose(g.layers[-1][1], expected_dz.sum(), rtol=1e-12)
 
 
+class TestAddRows:
+    """add_rows against 2-D np.add.at, bit for bit: the additions, in their order."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_two_dimensional_add_at(self, seed):
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(0, 6, 400)  # 6 rows: every row many times over
+        # magnitudes from 1e-8 to 1e16, so another order of additions rounds differently
+        values = rng.normal(size=(400, 3)) * 10.0 ** rng.integers(-8, 17, (400, 3))
+        start = rng.normal(size=(6, 3))  # onto a non-zero buffer
+        want, got = start.copy(), start.copy()
+        np.add.at(want, rows, values)
+        M.add_rows(got, rows, values)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_adds_into_a_view_of_a_larger_buffer(self, small_params):
+        grads = M.ModelParams.zeros_like(small_params)
+        M.add_rows(grads.item_embeddings, np.array([3, 3, 0]), np.arange(12.0).reshape(3, 4))
+        assert grads.item_embeddings[3].tolist() == [4, 6, 8, 10]
+        assert grads.item_embeddings[0].tolist() == [8, 9, 10, 11]
+        assert np.count_nonzero(grads.flat) == 8
+
+    def test_table_that_cannot_flatten_in_place_is_refused(self):
+        table = np.zeros((4, 6))[:, :3]  # rows 6 apart, 3 wide: no flat view
+        with pytest.raises(ValueError, match="copy"):
+            M.add_rows(table, np.array([0]), np.ones((1, 3)))
+        assert not table.any()
+
+
 class TestAdam:
     def test_zero_gradient_no_move(self, small_params):
         state = M.AdamState.for_params(small_params)
@@ -550,6 +616,18 @@ class TestPacking:
         assert small_params.flat[offset_b] == 7.5
         assert small_params.flat[offset_w] == -2.25
         assert small_params.flat[2 * 4 + 3] == 4.0
+
+    def test_embeddings_stack_both_tables_in_flat(self, small_params):
+        stacked = small_params.embeddings
+        assert np.shares_memory(stacked, small_params.flat) and stacked.flags.c_contiguous
+        assert np.array_equal(stacked, np.vstack([small_params.user_embeddings,
+                                                  small_params.item_embeddings]))
+        stacked[5, 1] = 3.5  # item row 1
+        assert small_params.item_embeddings[1, 1] == 3.5
+
+    def test_embedding_tables_of_two_widths_are_refused(self):
+        with pytest.raises(ValueError, match="same width"):
+            M.ModelParams(np.ones((2, 2)), np.ones((2, 3)), [(np.ones((5, 1)), np.zeros(1))])
 
     def test_constructor_packs_copies_of_its_arrays(self):
         user, item = np.ones((2, 1)), np.full((3, 1), 2.0)
