@@ -10,6 +10,11 @@ pooled MAE and AUC, the Mann-Whitney rank sum over numpy average ranks.
 One ascending argsort of the scores serves both: the AUC's tie groups come
 from it, and so does each row's tie-group rank, which with the user and the
 item forms one int64 key whose stable argsort is the ranking order.
+
+The per-user reductions need labels of 0 or 1. Users are summed in width
+groups found by one bincount, as a view when one group holds every row;
+IDCG is a lookup in a (k+1) x (k+1) table summed the same way, and MRR is
+one minimum.reduceat over each user's hit positions.
 """
 
 from __future__ import annotations
@@ -81,10 +86,19 @@ def _auc(labels, order: np.ndarray, starts: np.ndarray, nan: bool) -> float:
     return float((ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
 
 
+def _binary(labels) -> np.ndarray:
+    """labels as an array; a ValueError names the first one that is not 0 or 1."""
+    labels = np.asarray(labels)
+    bad = labels[(labels != 0) & (labels != 1)]
+    if len(bad):
+        raise ValueError(f"labels must be 0 or 1, got {bad[0]}")
+    return labels
+
+
 def auc(predictions, labels) -> float:
     """P(random positive outranks random negative), ties counted 1/2."""
     predictions = np.asarray(predictions, dtype=np.float64)
-    return _auc(labels, *_tie_groups(predictions))
+    return _auc(_binary(labels), *_tie_groups(predictions))
 
 
 def gini(counts) -> float:
@@ -103,10 +117,14 @@ def _row_prefix_sums(values: np.ndarray, widths: np.ndarray) -> np.ndarray:
 
     numpy adds fewer than 8 numbers left to right and 8 or more pairwise,
     so a zero-padded row can round differently from the unpadded one; rows
-    of equal width are summed together, as 1-D sums of that width.
+    of equal width are summed together, as 1-D sums of that width. When one
+    width holds every row, the rows are summed as a view, without a copy.
     """
+    counts = np.bincount(widths)
+    if counts[-1] == len(widths):
+        return values[:, :len(counts) - 1].sum(axis=1)
     out = np.zeros(len(values))
-    for w in np.unique(widths):
+    for w in np.flatnonzero(counts):
         rows = np.flatnonzero(widths == w)
         out[rows] = values[rows, :w].sum(axis=1)
     return out
@@ -147,6 +165,7 @@ def ranking_metrics(users: np.ndarray, items: np.ndarray, scores: np.ndarray,
 
 def _ranking_metrics(users, items, scores, labels, n_items, ties) -> dict:
     """ranking_metrics, given the tie groups of the scores (see _tie_groups)."""
+    users, items, labels = np.asarray(users), np.asarray(items), _binary(labels)
     if len(users) == 0:
         raise ValueError("empty test table")
     if items.min() < 0 or items.max() >= n_items:
@@ -162,27 +181,27 @@ def _ranking_metrics(users, items, scores, labels, n_items, ties) -> dict:
     total = np.add.reduceat(rel, starts)
     has_rel = total > 0
 
-    top = pos < 10  # the deepest cut-off, NDCG@10
-    rel_top = np.zeros((n_users, 10), dtype=rel.dtype)
+    depth = min(int(lengths.max()), 10)  # the longest list, cut at NDCG@10's k
+    top = pos < depth
+    rel_top = np.zeros((n_users, depth), dtype=rel.dtype)
     rel_top[seg[top], pos[top]] = rel[top]
 
     def ndcg(k):
         discounts = 1.0 / np.log2(np.arange(2, k + 2))
         widths = np.minimum(lengths, k)
-        dcg = _row_prefix_sums(rel_top[:, :k] * discounts, widths)
-        ideal = (np.arange(k) < np.minimum(total, k)[:, None]) * discounts
-        idcg = _row_prefix_sums(ideal, widths)
-        return np.divide(dcg, idcg, out=np.zeros(n_users), where=has_rel)
+        dcg = _row_prefix_sums(rel_top[:, :k] * discounts[:depth], widths)
+        # idcg[t, w]: t relevant items ranked first, summed as a user's row of width w
+        ideal = (np.arange(k) < np.arange(k + 1)[:, None]) * discounts
+        idcg = np.stack([ideal[:, :w].sum(axis=1) for w in range(k + 1)], axis=1)
+        return np.divide(dcg, idcg[np.minimum(total, k).astype(np.intp), widths],
+                         out=np.zeros(n_users), where=has_rel)
 
     def recall(k):
         return np.divide(rel_top[:, :k].sum(axis=1), total, out=np.zeros(n_users), where=has_rel)
 
-    hit = rel != 0
-    hit_seg, hit_pos = seg[hit], pos[hit]
-    first = np.ones(len(hit_seg), dtype=bool)  # first hit of each user with one
-    first[1:] = hit_seg[1:] != hit_seg[:-1]
-    reciprocal_rank = np.zeros(n_users)
-    reciprocal_rank[hit_seg[first]] = 1.0 / (hit_pos[first] + 1)
+    # each user's first hit, or len(order) for a user without one
+    first = np.minimum.reduceat(np.where(rel != 0, pos, len(order)), starts)
+    reciprocal_rank = np.divide(1.0, first + 1, out=np.zeros(n_users), where=first < len(order))
 
     shown = pos < CUTOFF
     exposure_counts = np.bincount(ranked_items[shown], minlength=n_items)

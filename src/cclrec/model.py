@@ -153,7 +153,8 @@ def forward(params: ModelParams, users: np.ndarray, items: np.ndarray) -> Predic
     x = np.take(params.embeddings, embedding_rows(params, users, items), axis=0, mode="clip")
     act = [x.reshape(len(users), 2 * params.d)]
     for W, b in params.layers[:-1]:
-        z = act[-1] @ W + b
+        z = act[-1] @ W
+        z += b
         act.append(np.maximum(z, 0.0, out=z))
     W, b = params.layers[-1]
     y = _sigmoid((act[-1] @ W + b)[:, 0])

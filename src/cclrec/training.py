@@ -83,7 +83,7 @@ class TrainConfig:
     @staticmethod
     def from_kv(text: str) -> "TrainConfig":
         casts = {f.name: f.type for f in fields(TrainConfig)}
-        kwargs = {}
+        kwargs, first_line = {}, {}
         for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -94,6 +94,10 @@ class TrainConfig:
             key, value = key.strip(), value.strip()
             if key not in casts:
                 raise ValueError(f"config line {lineno}: unknown key {key!r}")
+            if key in first_line:
+                raise ValueError(f"config line {lineno}: duplicate key {key!r} "
+                                 f"(first on line {first_line[key]})")
+            first_line[key] = lineno
             kind = casts[key]
             if kind in ("bool", bool):
                 if value.lower() not in BOOL_WORDS:

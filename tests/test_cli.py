@@ -191,6 +191,15 @@ class TestExitCodes:
         assert "config line 2" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_repeated_key_in_config_file(self, triple_dir, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.txt"
+        cfg_file.write_text("lam = 1\nlam = 0\n")
+        code = main(["train", *triple_args(triple_dir), "--config", str(cfg_file),
+                     "--seeds", "0", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "config line 2: duplicate key 'lam' (first on line 1)" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("line, message", [
         ("propensity_source = bogus", "unknown propensity source"),
         ("embed_dim = 0", "embed_dim must be >= 1"),

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cclrec import contrastive as C
 from cclrec.contrastive import (
@@ -21,10 +21,12 @@ from cclrec.contrastive import (
 from cclrec.data import DatasetBundle, ExposureMatrix, InteractionTable
 from cclrec.model import ModelParams, init_params
 from cclrec.propensity import (
+    PROPENSITY_FLOOR,
     PopularityTable,
     PropensityTable,
     estimate_popularity,
     estimate_propensity_nb,
+    popularity_from_counts,
 )
 from cclrec.simulate import SimConfig, generate
 from cclrec.training import TrainConfig, train
@@ -336,6 +338,66 @@ class TestBatchedSamplersTrainIdentically:
         del got["wall_clock"], want["wall_clock"]  # the one field that is a timing
         assert got == want
         assert report.sampler_calls == 4 * (len(bundle.train) - round(0.1 * len(bundle.train)))
+
+
+class TestWhatPsAndPopPick:
+    """ps and pop positives are extremes of their table, so they are a few fixed items.
+
+    The farthest value from an anchor's is the largest or the smallest of its row,
+    and argmax takes the lowest index among ties.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 6), min_size=2, max_size=30))
+    def test_pop_picks_the_least_or_the_most_popular_item(self, counts):
+        assume(min(counts) < max(counts))  # else every item is as popular
+        pop, n = popularity_from_counts(np.array(counts)), len(counts)
+        got = make_sampler("pop", make_bundle(1, n, [(0, 0)]), popularity=pop)(
+            np.zeros(n, dtype=np.int64), np.arange(n))
+        assert set(got.tolist()) <= {int(np.argmin(pop.values)), int(np.argmax(pop.values))}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_ps_on_a_user_plus_item_logistic_table_picks_a_row_extreme(self, seed):
+        # the shape of the logistic-regression estimate: monotone in s_i for every
+        # user, and so is the clip, which ties the clipped items
+        rng = np.random.default_rng(seed)
+        m, n = int(rng.integers(1, 6)), int(rng.integers(2, 25))
+        s_u, s_i, b = rng.normal(0, 1, m), np.round(rng.normal(0, 2, n), 1), rng.normal()
+        table = PropensityTable(m, n, PROPENSITY_FLOOR,
+                                dense=1 / (1 + np.exp(-(s_u[:, None] + s_i + b))))
+        users, items = np.repeat(np.arange(m), n), np.tile(np.arange(n), m)
+        got = make_sampler("ps", make_bundle(m, n, [(0, 0)]), propensities=table)(users, items)
+        for u in range(m):
+            row = table.rows([u])[0]
+            if row.min() < row.max():
+                assert set(got[users == u].tolist()) <= {int(np.argmin(row)), int(np.argmax(row))}
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_ps_on_a_naive_bayes_table_picks_an_exposed_item_of_the_other_label(self, seed):
+        # with p0 < marginal < p1 the farthest from a label-1 anchor is p0, the
+        # user's label-0 items, and the other way round
+        rng = np.random.default_rng(seed)
+        m, n = int(rng.integers(2, 12)), int(rng.integers(4, 30))
+        exposed = rng.random((m, n)) < 0.4
+        exposed[np.arange(m), rng.integers(0, n, m)] = True  # no user without a pair
+        users, items = np.nonzero(exposed)
+        train = InteractionTable.from_lists(users, items, np.where(rng.random(len(users)) < 0.6, 5, 1))
+        mcar = InteractionTable.from_lists(np.arange(30) % m, np.arange(30) % n,
+                                           np.where(np.arange(30) % 3 == 0, 5, 1))
+        table = estimate_propensity_nb(train, mcar, m, n)
+        p0, p1 = table.class_probs
+        assume(p0 < table.marginal < p1)
+        got = make_sampler("ps", make_bundle(m, n, [(0, 0)]), propensities=table)(
+            train.users, train.items)
+        for u in range(m):
+            mine, grid = train.users == u, table.label_grid[u]
+            if set(train.labels[mine].tolist()) != {0, 1}:
+                continue
+            for label, pick in zip(train.labels[mine], got[mine]):
+                assert pick == np.flatnonzero(grid == 1 - label)[0]  # lowest-indexed, exposed
+            assert len(set(got[mine].tolist())) <= 2
 
 
 class TestCCLLoss:

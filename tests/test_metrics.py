@@ -156,6 +156,12 @@ class TestAUC:
         with pytest.raises(ValueError):
             auc([0.5, 0.6], [1, 1])
 
+    @pytest.mark.parametrize("labels", [[1, 0, 2], [1, 0, -1], [1.0, 0.0, 0.5]])
+    def test_label_outside_zero_and_one_is_refused(self, labels):
+        # a label of 2 would count as neither class and push the AUC past 1
+        with pytest.raises(ValueError, match=f"^labels must be 0 or 1, got {labels[2]}$"):
+            auc([0.9, 0.1, 0.5], labels)
+
     def test_nan_score_gives_nan(self):
         assert np.isnan(auc([0.9, np.nan, 0.1, 0.2], [1, 1, 0, 0]))
 
@@ -377,12 +383,52 @@ class TestItemRange:
         assert got["users_evaluated"] == 1
 
 
+class TestLabels:
+    """The IDCG table counts relevant items, so a label must be 0 or 1."""
+
+    @pytest.mark.parametrize("bad, shown", [(2, "2"), (-1, "-1"), (0.5, "0.5"), (np.nan, "nan")])
+    @pytest.mark.parametrize("fn", [ranking_metrics, ranking_report])
+    def test_label_outside_zero_and_one_is_refused(self, fn, bad, shown):
+        labels = np.array([0, bad, 1])
+        with pytest.raises(ValueError, match=f"^labels must be 0 or 1, got {shown}$"):
+            fn(np.array([0, 0, 1]), np.array([0, 1, 2]), np.array([0.2, 0.5, 0.1]), labels, 3)
+
+    @pytest.mark.parametrize("labels", [[1, 0, 1], [True, False, True], [1.0, 0.0, 1.0]])
+    def test_binary_labels_of_any_dtype_give_one_report(self, labels):
+        args = (np.array([0, 0, 1]), np.array([0, 1, 2]), np.array([0.2, 0.5, 0.1]))
+        want = ranking_report(*args, np.array([1, 0, 1]), 3)
+        assert_same_report(ranking_report(*args, np.array(labels), 3), want)
+
+    @pytest.mark.parametrize("fn", [ranking_metrics, ranking_report])
+    def test_python_lists_are_accepted(self, fn):
+        table = ([0, 0, 1], [0, 1, 2], [0.2, 0.5, 0.1], [1, 0, 1])
+        got = fn(*table, 3)
+        assert got == fn(*map(np.array, table), 3)
+
+
 REPORT_FIELDS = MetricsReport.COLUMNS + ("users_evaluated", "users_without_relevant")
 
 
 def assert_same_report(got, want):
     for name in REPORT_FIELDS:
         assert getattr(got, name) == getattr(want, name), name
+
+
+def shuffled_table(rng, lengths, n_items=40):
+    """(users, items, scores, labels, n_items): one user per list length, rows shuffled.
+
+    Relevance rates run from none to all, so some users have no relevant item;
+    four distinct scores make many ties. The first row is relevant and the last
+    is not, so AUC is defined.
+    """
+    users = np.repeat(rng.choice(1000, len(lengths), replace=False), lengths)
+    items = np.concatenate([rng.choice(n_items, k, replace=False) for k in lengths])
+    rate = np.repeat(rng.choice([0.0, 0.3, 0.7, 1.0], len(lengths)), lengths)
+    labels = (rng.random(len(users)) < rate).astype(np.int64)
+    labels[0], labels[-1] = 1, 0
+    scores = rng.integers(0, 4, len(users)) / 4
+    shuffle = rng.permutation(len(users))
+    return users[shuffle], items[shuffle], scores[shuffle], labels[shuffle], n_items
 
 
 class TestRankingReport:
@@ -420,6 +466,23 @@ class TestRankingReport:
                 scores = np.append(1 - np.arange(length) / 16, 0.5)
                 args = (users, items, scores, rel, length)
                 assert_same_report(ranking_report(*args), per_list_report(*args, gini_k=5))
+
+    @pytest.mark.parametrize("length", [1, 4, 7, 10, 16])
+    def test_every_user_with_the_same_list_length(self, length):
+        # one width group holds every row; at length 7 the NDCG@5 widths are all 5
+        # and the NDCG@10 widths all 7
+        for seed in range(10):
+            args = shuffled_table(np.random.default_rng(seed), np.full(40, length))
+            assert_same_report(ranking_report(*args), per_list_report(*args, gini_k=5))
+
+    def test_one_uniform_group_with_ragged_users(self):
+        # most users have 7 items and a few have 1-16, so no width group holds
+        # every row and the widest is not the largest
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            lengths = rng.permutation(np.r_[np.full(60, 7), rng.integers(1, 17, 8)])
+            args = shuffled_table(rng, lengths)
+            assert_same_report(ranking_report(*args), per_list_report(*args, gini_k=5))
 
 
 class TestEvaluate:

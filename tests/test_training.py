@@ -137,6 +137,16 @@ class TestConfig:
         with pytest.raises(ValueError, match="line 2"):
             TrainConfig.from_kv("lam = 1\nbroken line\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("lam = 1\nlam = 0\n", "config line 2: duplicate key 'lam' (first on line 1)"),
+        ("lam = 1\nlam = 1\n", "config line 2: duplicate key 'lam' (first on line 1)"),
+        ("# head\nseed = 3\n\ntau = 0.5\nseed=4  # again\n",
+         "config line 5: duplicate key 'seed' (first on line 2)"),
+    ])
+    def test_kv_rejects_a_repeated_key(self, text, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TrainConfig.from_kv(text)
+
 
 class TestBatchObjective:
     def test_total_is_rec_plus_scaled_ccl(self):
