@@ -80,8 +80,7 @@ def load_bundle(args) -> DatasetBundle:
         cfg = SIM.SimConfig(m=500 if args.num_users is None else args.num_users,
                             n=100 if args.num_items is None else args.num_items,
                             exposure_skew=args.exposure_skew, seed=args.sim_seed)
-        # the bundle itself does not need high-precision inclusion probabilities
-        return SIM.generate(cfg, inclusion_draws=1000).dataset
+        return SIM.generate(cfg).dataset
     raise ValueError(f"unknown dataset kind {args.dataset!r}")
 
 

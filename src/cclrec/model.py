@@ -187,7 +187,7 @@ def rec_weights(objective: str, propensities: np.ndarray | None, batch_size: int
     if propensities is None:
         raise ValueError(f"{objective} objective needs propensities")
     p = np.asarray(propensities, dtype=np.float64)
-    if (p <= 0).any():
+    if not (p > 0).all():  # NaN included
         raise ValueError("propensities must be positive")
     inv = 1.0 / p
     return inv / batch_size if objective == "ips" else inv / inv.sum()

@@ -74,6 +74,8 @@ class PropensityTable:
         if dense is not None:
             if np.shape(dense) != (m, n):
                 raise ValueError(f"dense must be {m} x {n}, got shape {np.shape(dense)}")
+            if not np.isfinite(dense).all():
+                raise ValueError("dense holds a non-finite propensity")
             self.kind = "dense"
             self.dense = np.clip(dense, floor, 1.0)
             self.dense.setflags(write=False)
@@ -81,6 +83,9 @@ class PropensityTable:
         for name, value in (("marginal", marginal), ("label_grid", label_grid)):
             if value is None:
                 raise ValueError(f"class_probs needs {name}")
+        for name, value in (("class_probs", class_probs), ("marginal", marginal)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite, got {value}")
         if np.shape(label_grid) != (m, n):
             raise ValueError(f"label_grid must be {m} x {n}, got shape {np.shape(label_grid)}")
         if label_grid.min() < -1 or label_grid.max() > 1:

@@ -240,7 +240,7 @@ def test_criterion_9_simulator_debiasing_direction():
     start = time.perf_counter()
     base_aucs, ccl_aucs, mle_aucs, ips_aucs = [], [], [], []
     for seed in range(5):
-        synth = generate(SimConfig(seed=seed), inclusion_draws=2000)
+        synth = generate(SimConfig(seed=seed))
         bundle = synth.dataset
         test = bundle.test
 
@@ -285,7 +285,7 @@ def test_criterion_10_determinism(tmp_path):
 def test_determinism_on_synthetic_substitute(tmp_path):
     # exercises the criterion-10 property on data that is always available
     bundle = generate(SimConfig(m=60, n=30, seed=0, exposures_per_user=6,
-                                test_exposures_per_user=4), inclusion_draws=10).dataset
+                                test_exposures_per_user=4)).dataset
     cfg = TrainConfig(lam=0.5, max_epochs=3, batch_size=64, embed_dim=4,
                       patience=5, seed=0)
     blobs = []

@@ -49,8 +49,8 @@ from cclrec import model as M
 from cclrec.simulate import SimConfig, generate
 from cclrec.training import TrainConfig, train
 
-bundle = generate(SimConfig(m=100, n=40, exposures_per_user=10, test_exposures_per_user=2, seed=3),
-                  inclusion_draws=5).dataset
+bundle = generate(SimConfig(m=100, n=40, exposures_per_user=10, test_exposures_per_user=2,
+                            seed=3)).dataset
 for cosine in (False, True):
     params, _ = train(bundle, TrainConfig(lam=1.0, tau=0.5, batch_size=296, embed_dim=8,
                                           max_epochs=3, patience=10, cosine=cosine, seed=0))
@@ -71,8 +71,8 @@ from cclrec import model as M
 from cclrec.simulate import SimConfig, generate
 from cclrec.training import TrainConfig, train
 
-bundle = generate(SimConfig(m=8200, n=100, exposures_per_user=4, test_exposures_per_user=2, seed=5),
-                  inclusion_draws=5).dataset
+bundle = generate(SimConfig(m=8200, n=100, exposures_per_user=4, test_exposures_per_user=2,
+                            seed=5)).dataset
 params, _ = train(bundle, TrainConfig(lam=0.0, max_epochs=2, seed=0))
 assert params.flat.size >= M.ADAM_SPLIT_MIN
 assert M._adam_slices(params.flat.size) == len(cpus)
@@ -108,6 +108,20 @@ print(hashlib.sha256(scores.tobytes() + repr(report).encode()).hexdigest())
 """
 
 
+# the exact oracle propensities of a default simulator bundle (n = 100) and
+# of 1,000 items; they are summed element-wise, so no BLAS call can reorder them
+INCLUSION_SCRIPT = """
+import hashlib
+import numpy as np
+from cclrec.simulate import SimConfig, generate, inclusion_probabilities
+
+digest = hashlib.sha256(generate(SimConfig()).inclusion_probs.tobytes())
+weights = np.exp(3.0 * np.random.default_rng(0).uniform(-0.5, 0.5, 1000))
+digest.update(inclusion_probabilities(weights / weights.sum(), 20).tobytes())
+print(digest.hexdigest())
+"""
+
+
 def run_at(threads: int, script: str, *args: str) -> str:
     env = {k: v for k, v in os.environ.items() if k not in ("OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     env["OPENBLAS_NUM_THREADS"] = str(threads)
@@ -124,6 +138,10 @@ def test_kernel_bytes_do_not_depend_on_thread_count():
 
 def test_evaluate_bytes_do_not_depend_on_thread_count():
     assert run_at(1, EVALUATE_SCRIPT) == run_at(2, EVALUATE_SCRIPT)
+
+
+def test_inclusion_probabilities_do_not_depend_on_thread_count():
+    assert run_at(1, INCLUSION_SCRIPT) == run_at(2, INCLUSION_SCRIPT)
 
 
 def test_ccl_checkpoint_bytes_do_not_depend_on_thread_count(tmp_path):

@@ -23,7 +23,7 @@ from cclrec.training import PROPENSITY_SOURCES, REC_OBJECTIVES, TrainConfig
 def triple_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("synthdata")
     synth = generate(SimConfig(m=30, n=20, seed=1, exposures_per_user=6,
-                               test_exposures_per_user=4), inclusion_draws=10)
+                               test_exposures_per_user=4))
     save_bundle(synth, path)
     return path
 

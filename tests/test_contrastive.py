@@ -317,8 +317,7 @@ class TestBatchedSamplersTrainIdentically:
     @pytest.fixture(scope="class")
     def setting(self):
         bundle = generate(SimConfig(m=40, n=20, exposures_per_user=6,
-                                    test_exposures_per_user=4, seed=3),
-                          inclusion_draws=20).dataset
+                                    test_exposures_per_user=4, seed=3)).dataset
         props = estimate_propensity_nb(bundle.train, bundle.test, bundle.m, bundle.n)
         return bundle, props, estimate_popularity(bundle)
 

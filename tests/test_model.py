@@ -267,6 +267,12 @@ class TestRecWeights:
         with pytest.raises(ValueError, match="positive"):
             M.rec_weights(objective, np.array([0.5, 0.0]), 2)
 
+    @pytest.mark.parametrize("objective", ["ips", "snips"])
+    def test_rejects_a_nan_propensity(self, objective):
+        # NaN <= 0 is False, so a check written that way let [nan, 1.] through
+        with pytest.raises(ValueError, match="positive"):
+            M.rec_weights(objective, np.array([np.nan, 0.5]), 2)
+
     def test_per_sample_loss_dispatch(self):
         y, labels = np.array([0.2, 0.9]), np.array([1, 0])
         assert M.per_sample_loss(y, labels).tolist() == log_loss_per_sample(y, labels).tolist()

@@ -266,6 +266,25 @@ class TestConstructorChecks:
             PropensityTable(2, 3, 0.05, class_probs=(0.2, 0.4), marginal=0.3,
                             label_grid=np.zeros(shape, dtype=np.int8))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_dense(self, bad):
+        dense = np.full((2, 3), 0.5)
+        dense[1, 2] = bad
+        with pytest.raises(ValueError, match="dense holds a non-finite propensity"):
+            PropensityTable(2, 3, 0.05, dense=dense)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_class_probs(self, bad):
+        # min(max(nan, floor), 1) is nan, so the clip alone kept it
+        for probs in ((bad, 0.3), (0.3, bad)):
+            with pytest.raises(ValueError, match="class_probs must be finite"):
+                PropensityTable(2, 3, 0.05, class_probs=probs, marginal=0.3, label_grid=self.GRID)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_marginal(self, bad):
+        with pytest.raises(ValueError, match="marginal must be finite"):
+            PropensityTable(2, 3, 0.05, class_probs=(0.2, 0.4), marginal=bad, label_grid=self.GRID)
+
     @pytest.mark.parametrize("code", [-2, 2, 7, -128])
     def test_label_grid_code_outside_its_values(self, code):
         # the lookup [marginal, p0, p1][grid + 1] would read -2 as p1, 2 past the end
