@@ -162,7 +162,6 @@ def _add_train_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--weight-decay", dest="weight_decay", type=float, default=None)
     p.add_argument("--max-epochs", dest="max_epochs", type=int, default=None)
     p.add_argument("--patience", type=int, default=None)
-    p.add_argument("--focal-gamma", dest="focal_gamma", type=float, default=None)
     p.add_argument("--sampler", choices=C.SAMPLER_KINDS, default=None)
     p.add_argument("--rec-objective", dest="rec_objective",
                    choices=T.REC_OBJECTIVES, default=None)
@@ -245,7 +244,9 @@ def _dispatch(args) -> int:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
         if not seeds:
             raise ValueError("seed list is empty")
-        for seed in seeds:
+        for i, seed in enumerate(seeds):
+            if seed in seeds[:i]:
+                raise ValueError(f"seed {seed} appears twice in the seed list")
             replace(config, seed=seed).validate()
     bundle = load_bundle(args)
 

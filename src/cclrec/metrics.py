@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cclrec.data import DatasetBundle
-from cclrec.model import ModelParams, forward
+from cclrec.model import ModelParams, check_lengths, forward
 
 CUTOFF = 5  # the k of Gini and global utility
 SCORE_ROWS = 8192  # rows per forward call when scoring a table: bounds the activations held
@@ -52,6 +52,7 @@ class MetricsReport:
 
 
 def mae(predictions, labels) -> float:
+    check_lengths(predictions=predictions, labels=labels)
     predictions = np.asarray(predictions, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     if len(predictions) == 0:
@@ -97,6 +98,7 @@ def _binary(labels) -> np.ndarray:
 
 def auc(predictions, labels) -> float:
     """P(random positive outranks random negative), ties counted 1/2."""
+    check_lengths(predictions=predictions, labels=labels)
     predictions = np.asarray(predictions, dtype=np.float64)
     return _auc(_binary(labels), *_tie_groups(predictions))
 
@@ -165,6 +167,7 @@ def ranking_metrics(users: np.ndarray, items: np.ndarray, scores: np.ndarray,
 
 def _ranking_metrics(users, items, scores, labels, n_items, ties) -> dict:
     """ranking_metrics, given the tie groups of the scores (see _tie_groups)."""
+    check_lengths(users=users, items=items, scores=scores, labels=labels)
     users, items, labels = np.asarray(users), np.asarray(items), _binary(labels)
     if len(users) == 0:
         raise ValueError("empty test table")

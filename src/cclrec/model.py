@@ -35,6 +35,13 @@ ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
 
 
+def check_lengths(**arrays) -> None:
+    """A ValueError naming every length unless the arrays all have one length."""
+    lengths = {name: len(a) for name, a in arrays.items()}
+    if len(set(lengths.values())) > 1:
+        raise ValueError("unequal lengths: " + ", ".join(f"{k} {v}" for k, v in lengths.items()))
+
+
 class ModelParams:
     """Arrays shaped like the model: its parameters, their gradients, or Adam's moments.
 
@@ -161,18 +168,12 @@ def forward(params: ModelParams, users: np.ndarray, items: np.ndarray) -> Predic
     return PredictionBatch(users, items, y, act)
 
 
-def per_sample_loss(y: np.ndarray, labels: np.ndarray, gamma: float = 0.0) -> np.ndarray:
-    """Rating loss delta_k = -(1 - p)^gamma log(p + eps) of each sample, where p is
-    the predicted probability of the observed label: the log-loss at gamma = 0
-    and the focal loss (Lin et al. 2017) above it."""
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
+def per_sample_loss(y: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Log-loss delta_k = -log(p + eps) of each sample, where p is the predicted
+    probability of the observed label."""
+    check_lengths(predictions=y, labels=labels)
     y = np.asarray(y, dtype=np.float64)
-    p = np.where(np.asarray(labels) == 1, y, 1 - y)
-    loss = -np.log(p + EPS_LOG)
-    if gamma:
-        loss *= (1 - p) ** gamma
-    return loss
+    return -np.log(np.where(np.asarray(labels) == 1, y, 1 - y) + EPS_LOG)
 
 
 def rec_weights(objective: str, propensities: np.ndarray | None, batch_size: int) -> np.ndarray:
@@ -187,6 +188,8 @@ def rec_weights(objective: str, propensities: np.ndarray | None, batch_size: int
     if propensities is None:
         raise ValueError(f"{objective} objective needs propensities")
     p = np.asarray(propensities, dtype=np.float64)
+    if len(p) != batch_size:
+        raise ValueError(f"{len(p)} propensities for a batch of {batch_size}")
     if not (p > 0).all():  # NaN included
         raise ValueError("propensities must be positive")
     inv = 1.0 / p
@@ -194,8 +197,7 @@ def rec_weights(objective: str, propensities: np.ndarray | None, batch_size: int
 
 
 def backward(params: ModelParams, batch: PredictionBatch, labels: np.ndarray,
-             weights: np.ndarray, gamma: float = 0.0,
-             grads: ModelParams | None = None) -> ModelParams:
+             weights: np.ndarray, *, grads: ModelParams | None = None) -> ModelParams:
     """Exact gradient of sum_k weights_k * delta(y_k, label_k) w.r.t. all params.
 
     Embedding rows not touched by the batch keep zero gradient. `grads`
@@ -203,14 +205,9 @@ def backward(params: ModelParams, batch: PredictionBatch, labels: np.ndarray,
     """
     labels = np.asarray(labels, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
-    y = batch.y
-    dz = y - labels  # d(delta)/dz for the sigmoid output at gamma = 0
-    if gamma:
-        # (1 - p)^gamma (dz + s gamma p log(p + eps)), s = +1 for label 1 and -1 for
-        # label 0; like dz it drops eps from p / (p + eps), so it is finite at y in {0, 1}
-        p = np.where(labels == 1, y, 1 - y)
-        dz = (1 - p) ** gamma * (dz + (2 * labels - 1) * gamma * p * np.log(p + EPS_LOG))
-    delta = (weights * dz)[:, None]  # B x 1, gradient at the output pre-activation
+    # B x 1, the gradient at the output pre-activation: d(delta)/dz = y - label drops
+    # eps from p / (p + eps), so it is finite at y in {0, 1}
+    delta = (weights * (batch.y - labels))[:, None]
 
     if grads is None:
         grads = ModelParams.zeros_like(params)

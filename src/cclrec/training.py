@@ -3,9 +3,8 @@
 Fully seeded and bit-reproducible: a run saves the same bytes on a rerun,
 at any BLAS thread count and at any CPU count (tests/test_blas_threads.py
 runs at 1 and 2 OpenBLAS threads, and on one CPU and on all). Supports
-one rating loss (focal, whose focal_gamma = 0 is the log-loss) under plain,
-IPS and SNIPS weights, the three contrastive samplers, and early stopping on
-validation total loss.
+the log-loss under plain, IPS and SNIPS weights, the three contrastive
+samplers, and early stopping on validation total loss.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ class TrainConfig:
     max_epochs: int = 500
     patience: int = 5
     seed: int = 0
-    focal_gamma: float = 0.0  # 0: log-loss
     sampler: str = "cf"  # cf | ps | pop
     rec_objective: str = "plain"  # plain | ips | snips
     propensity_source: str = "auto"  # auto | lr | nb | oracle
@@ -57,7 +55,7 @@ class TrainConfig:
     val_fraction: float = 0.1
 
     def validate(self) -> None:
-        for name in ("lam", "tau", "learning_rate", "weight_decay", "focal_gamma"):
+        for name in ("lam", "tau", "learning_rate", "weight_decay"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("tau", "learning_rate"):
@@ -71,7 +69,7 @@ class TrainConfig:
             raise ValueError(f"unknown propensity source {self.propensity_source!r}")
         for name, least in (("lam", 0), ("batch_size", 1), ("embed_dim", 1),
                             ("hidden_layers", 0), ("max_epochs", 0), ("patience", 0),
-                            ("weight_decay", 0), ("focal_gamma", 0), ("seed", 0)):
+                            ("weight_decay", 0), ("seed", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if not (0 <= self.val_fraction < 1):
@@ -131,8 +129,8 @@ class TrainReport:
 def batch_objective(params: M.ModelParams, users: np.ndarray, items: np.ndarray,
                     labels: np.ndarray, weights: np.ndarray,
                     lam: float, tau: float,
-                    pos_items: Optional[np.ndarray] = None, gamma: float = 0.0,
-                    cosine: bool = False, grads: Optional[M.ModelParams] = None):
+                    pos_items: Optional[np.ndarray] = None, cosine: bool = False,
+                    grads: Optional[M.ModelParams] = None):
     """Total loss (rec + lam * ccl) and its exact gradient for one batch.
 
     The rec term is sum_k weights_k * delta_k over the anchor pairs; the
@@ -140,9 +138,9 @@ def batch_objective(params: M.ModelParams, users: np.ndarray, items: np.ndarray,
     gradient accumulates into `grads` when given (it must hold zeros).
     """
     batch = M.forward(params, users, items)
-    per = M.per_sample_loss(batch.y, labels, gamma)
+    per = M.per_sample_loss(batch.y, labels)
     rec = float((np.asarray(weights) * per).sum())
-    grads = M.backward(params, batch, labels, weights, gamma=gamma, grads=grads)
+    grads = M.backward(params, batch, labels, weights, grads=grads)
 
     cclv = 0.0
     if lam > 0 and pos_items is not None:
@@ -221,7 +219,7 @@ def train(bundle: DatasetBundle, config: TrainConfig,
                 report.sampler_calls += len(idx)
             total, rec, cclv, grads = batch_objective(
                 params, users, items, labels, weights, config.lam, config.tau,
-                pos_items=pos, gamma=config.focal_gamma, cosine=config.cosine, grads=grads)
+                pos_items=pos, cosine=config.cosine, grads=grads)
             if not np.isfinite(total):
                 raise FloatingPointError(
                     f"non-finite loss at epoch {report.epochs_run}, batch {n_batches}: "
@@ -258,7 +256,7 @@ def train(bundle: DatasetBundle, config: TrainConfig,
 def _validation_loss(params, config, val_part: InteractionTable, sampler, val_rng) -> float:
     users, items = val_part.users, val_part.items
     y = MET.predict(params, users, items)
-    rec = M.per_sample_loss(y, val_part.labels, config.focal_gamma).mean()
+    rec = M.per_sample_loss(y, val_part.labels).mean()
     if config.lam <= 0:
         return float(rec)
     # one sampler call keeps the val_rng stream; the contrastive term is scored

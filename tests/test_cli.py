@@ -205,7 +205,7 @@ class TestExitCodes:
         ("embed_dim = 0", "embed_dim must be >= 1"),
         ("weight_decay = -5", "weight_decay must be >= 0"),
         ("learning_rate = 0", "learning_rate must be positive"),
-        ("focal_gamma = -1", "focal_gamma must be >= 0"),
+        ("focal_gamma = 0", "unknown key 'focal_gamma'"),
         ("learning_rate = nan", "learning_rate must be finite, got nan"),
         ("tau = inf", "tau must be finite, got inf"),
         ("weight_decay = -inf", "weight_decay must be finite, got -inf"),
@@ -230,6 +230,7 @@ class TestExitCodes:
         (["--seeds", ","], "seed list is empty"),
         (["--config", "CFG"], "no CLI dataset carries ground-truth propensities"),
         (["--seeds", "-1"], "seed must be >= 0"),
+        (["--seeds", "0,0"], "seed 0 appears twice in the seed list"),
     ])
     def test_bad_option_fails_before_the_data_is_read(self, tmp_path, capsys, command,
                                                       option, message):
@@ -265,6 +266,13 @@ class TestTrainFlags:
         dests = {a.dest for a in parser._actions} - {"help", "config", "seeds", "out"}
         assert dests <= {f.name for f in fields(TrainConfig)}
 
+    def test_every_config_field_is_set_by_a_flag_or_declared_file_only(self):
+        # a field added later needs a flag or an entry here; seed is set per run by --seeds
+        parser = argparse.ArgumentParser()
+        _add_train_args(parser)
+        file_only = {"seed", "cosine", "val_fraction"}
+        assert {f.name for f in fields(TrainConfig)} - {a.dest for a in parser._actions} == file_only
+
     def test_choices_are_the_ones_validate_accepts(self):
         parser = argparse.ArgumentParser()
         _add_train_args(parser)
@@ -280,7 +288,7 @@ class TestTrainFlags:
                 TrainConfig(**{dest: value}).validate()
 
     def test_mode_flag_is_gone(self, triple_dir, tmp_path):
-        for flag, value in (("--mode", "joint"), ("--loss-kind", "log")):
+        for flag, value in (("--mode", "joint"), ("--loss-kind", "log"), ("--focal-gamma", "2")):
             with pytest.raises(SystemExit) as exc:
                 main(["train", *triple_args(triple_dir), *FAST, flag, value,
                       "--seeds", "0", "--out", str(tmp_path / "x")])

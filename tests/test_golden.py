@@ -4,7 +4,7 @@ reference build (numpy 2.4.6 with OpenBLAS 0.3.31, x86-64).
 The CLI cases run `train`, `ablate` and `sweep-samplers` in-process on the
 same small synthetic dataset. The checkpoint cases train one short run per
 code path (plain, CCL with each positive sampler, IPS, SNIPS with cosine
-similarity, focal loss) on the default simulator bundle.
+similarity) on the default simulator bundle.
 
 Rule: a change that moves these bytes on purpose updates the constants
 below, and lists each old -> new digest, with the reason, in CHANGES.md.
@@ -52,8 +52,6 @@ CHECKPOINTS = {
             "7f2b65b94f8c966aee411b6787ad806241edd6986418fd19604473f790328a51"),
     "snips-cosine": (dict(max_epochs=4, seed=3, lam=0.5, rec_objective="snips", cosine=True),
                      "d294d1dfb347b77d14b8563126dd63407f1cd3057fa31bc2fce48b404191e490"),
-    "focal": (dict(max_epochs=4, seed=3, lam=0.0, focal_gamma=2.0),
-              "9506f6574fe60f0de535443508211be59a80471da07698b43c464354d7d2a2ea"),
 }
 
 

@@ -406,6 +406,32 @@ class TestLabels:
         assert got == fn(*map(np.array, table), 3)
 
 
+RANKING_TABLE = {"users": [0, 0, 1], "items": [0, 1, 2], "scores": [0.2, 0.5, 0.1],
+                 "labels": [1, 0, 1]}
+
+
+def one_row_short(column):
+    """RANKING_TABLE's columns with `column` one row short, n_items, and the lengths named."""
+    table = {k: v[:-1] if k == column else v for k, v in RANKING_TABLE.items()}
+    return (*table.values(), 3), ", ".join(f"{k} {len(v)}" for k, v in table.items())
+
+
+class TestUnequalLengths:
+    """Columns of unequal length are refused, not broadcast or indexed past."""
+
+    @pytest.mark.parametrize("fn, args, lengths", [
+        (mae, ([0.2], [0, 1, 1]), "predictions 1, labels 3"),
+        (mae, ([0.2, 0.3, 0.4], [0, 1]), "predictions 3, labels 2"),
+        (auc, ([0.2, 0.3], [0, 1, 1]), "predictions 2, labels 3"),
+        (auc, ([0.2, 0.3, 0.4], [0, 1]), "predictions 3, labels 2"),
+        *[(fn, *one_row_short(column)) for fn in (ranking_metrics, ranking_report)
+          for column in RANKING_TABLE],
+    ])
+    def test_is_refused_naming_both_lengths(self, fn, args, lengths):
+        with pytest.raises(ValueError, match=f"^unequal lengths: {lengths}$"):
+            fn(*args)
+
+
 REPORT_FIELDS = MetricsReport.COLUMNS + ("users_evaluated", "users_without_relevant")
 
 

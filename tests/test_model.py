@@ -113,31 +113,24 @@ class TestSigmoid:
         assert np.array_equal(M._sigmoid(x).view(np.uint64), two_branch_sigmoid(x).view(np.uint64))
 
 
-def mean_loss(y, labels, gamma=0.0):
+def mean_loss(y, labels):
     """The batch-mean rating loss, as the validation loss computes it."""
-    return M.per_sample_loss(np.asarray(y), np.asarray(labels), gamma).mean()
+    return M.per_sample_loss(np.asarray(y), np.asarray(labels)).mean()
 
 
-# references for per_sample_loss and backward: the log-loss and the focal loss
-# as two separate formulas, and the log-loss gradient at the output
+# references for per_sample_loss and backward: the log-loss as one formula over
+# both labels, and its gradient at the output
 def log_loss_per_sample(y, labels):
     y = np.asarray(y, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     return -(labels * np.log(y + M.EPS_LOG) + (1 - labels) * np.log(1 - y + M.EPS_LOG))
 
 
-def focal_loss_per_sample(y, labels, gamma):
-    y = np.asarray(y, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    return -(labels * (1 - y) ** gamma * np.log(y + M.EPS_LOG)
-             + (1 - labels) * y ** gamma * np.log(1 - y + M.EPS_LOG))
-
-
 def log_loss_dz(y, labels):
     return np.asarray(y, dtype=np.float64) - np.asarray(labels, dtype=np.float64)
 
 
-def output_dz(y, labels, gamma=0.0):
+def output_dz(y, labels):
     """backward's gradient at the output pre-activation for each (y, label), one
     weight-1 sample at a time: it is the gradient of the output bias."""
     params = M.init_params(1, 1, 1, 0, np.random.default_rng(0))
@@ -145,7 +138,7 @@ def output_dz(y, labels, gamma=0.0):
     for y_k, label in zip(y, labels):
         batch = M.forward(params, np.array([0]), np.array([0]))
         batch.y = np.array([y_k])
-        out.append(M.backward(params, batch, np.array([label]), np.ones(1), gamma).layers[-1][1][0])
+        out.append(M.backward(params, batch, np.array([label]), np.ones(1)).layers[-1][1][0])
     return np.array(out)
 
 
@@ -166,25 +159,12 @@ class TestLosses:
         b = mean_loss([0.5], [1])
         assert a == pytest.approx(b)
 
-    def test_focal_reduces_to_log(self):
+    def test_mean_loss_equals_the_reference(self):
         rng = np.random.default_rng(0)
         y = rng.uniform(0.05, 0.95, 20)
         labels = rng.integers(0, 2, 20)
-        assert mean_loss(y, labels, 0.0) == pytest.approx(
+        assert mean_loss(y, labels) == pytest.approx(
             log_loss_per_sample(y, labels).mean(), abs=1e-12)
-
-    def test_focal_hand_value(self):
-        got = mean_loss([0.5], [1], gamma=2.0)
-        assert got == pytest.approx(0.25 * np.log(2), abs=1e-9)
-
-    def test_focal_downweights_easy_samples(self):
-        easy = mean_loss([0.9], [1], 2.0) / mean_loss([0.9], [1])
-        hard = mean_loss([0.1], [1], 2.0) / mean_loss([0.1], [1])
-        assert easy < hard
-
-    def test_focal_negative_gamma(self):
-        with pytest.raises(ValueError):
-            mean_loss([0.5], [1], -1.0)
 
     @pytest.mark.parametrize("label", [0, 1])
     def test_log_loss_and_its_gradient_equal_the_reference(self, label):
@@ -192,17 +172,6 @@ class TestLosses:
         labels = np.full(len(y), label)
         assert np.array_equal(M.per_sample_loss(y, labels), log_loss_per_sample(y, labels))
         assert np.array_equal(output_dz(y, labels), log_loss_dz(y, labels))
-
-    @pytest.mark.parametrize("gamma", [0.5, 2.0])
-    def test_focal_loss_equals_the_reference(self, gamma):
-        # the reference weighs label 0 by y^gamma, this loss by (1 - (1 - y))^gamma:
-        # equal to rtol 1e-12 while y keeps its digits through 1 - y, y in [0.01, 0.99]
-        rng = np.random.default_rng(2)
-        y = np.concatenate([np.linspace(0.01, 0.99, 99), rng.uniform(0.01, 0.99, 200)])
-        for label in (0, 1):
-            labels = np.full(len(y), label)
-            np.testing.assert_allclose(M.per_sample_loss(y, labels, gamma),
-                                       focal_loss_per_sample(y, labels, gamma), rtol=1e-12)
 
 
 def ips_loss(per_sample_losses, propensities):
@@ -276,27 +245,38 @@ class TestRecWeights:
     def test_per_sample_loss_dispatch(self):
         y, labels = np.array([0.2, 0.9]), np.array([1, 0])
         assert M.per_sample_loss(y, labels).tolist() == log_loss_per_sample(y, labels).tolist()
-        np.testing.assert_allclose(M.per_sample_loss(y, labels, 2.0),
-                                   focal_loss_per_sample(y, labels, 2.0), rtol=1e-12)
         assert M.per_sample_loss(y, labels).mean() == float(log_loss_per_sample(y, labels).mean())
-        with pytest.raises(ValueError, match="gamma must be >= 0"):
-            M.per_sample_loss(y, labels, -0.5)
+
+
+class TestUnequalLengths:
+    """Inputs of unequal length are refused, not broadcast."""
+
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: M.per_sample_loss(np.array([0.5]), np.array([1, 0, 1])),
+                     "unequal lengths: predictions 1, labels 3", id="loss-labels-longer"),
+        pytest.param(lambda: M.per_sample_loss(np.full(3, 0.5), np.array([1])),
+                     "unequal lengths: predictions 3, labels 1", id="loss-predictions-longer"),
+        pytest.param(lambda: M.rec_weights("ips", np.full(3, 0.5), 2),
+                     "3 propensities for a batch of 2", id="ips"),
+        pytest.param(lambda: M.rec_weights("snips", np.full(1, 0.5), 2),
+                     "1 propensities for a batch of 2", id="snips"),
+    ])
+    def test_is_refused_naming_both_lengths(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
 
 
 class TestBackward:
     @pytest.mark.parametrize("loss_kind", ["plain", "ips", "snips", "hinge"])
-    def test_rejects_anything_but_log_and_focal(self, loss_kind):
-        # the one loss is selected by gamma alone: a loss-kind string where the
-        # old signature took one fails loudly instead of training some loss
+    def test_rejects_a_positional_loss_kind(self, loss_kind):
+        # there is one loss and `grads` is keyword-only: a loss-kind string where
+        # an old signature took one fails loudly instead of training some loss
         params = M.init_params(2, 2, 2, 1, np.random.default_rng(0))
         batch = M.forward(params, np.array([0]), np.array([1]))
         with pytest.raises(TypeError):
             M.backward(params, batch, np.array([1.0]), np.array([1.0]), loss_kind)
 
-    @pytest.mark.parametrize("gamma", [pytest.param(0.0, id="log-0.0"),
-                                       pytest.param(0.5, id="focal-0.5"),
-                                       pytest.param(2.0, id="focal-2.0")])
-    def test_matches_finite_differences(self, gamma):
+    def test_matches_finite_differences(self):
         rng = np.random.default_rng(7)
         params = M.init_params(4, 4, 4, 1, rng)
         users = rng.integers(0, 4, 6)
@@ -306,22 +286,23 @@ class TestBackward:
 
         def loss_fn(p):
             out = M.forward(p, users, items)
-            return float((weights * focal_loss_per_sample(out.y, labels, gamma)).sum())
+            return float((weights * log_loss_per_sample(out.y, labels)).sum())
 
         batch = M.forward(params, users, items)
-        analytic = M.backward(params, batch, labels, weights, gamma)
+        analytic = M.backward(params, batch, labels, weights)
         numeric = finite_diff_grads(loss_fn, params)
         assert max_rel_error(analytic, numeric) < 1e-4
 
-    @pytest.mark.parametrize("gamma", [0.0, 0.5, 2.0])
+    # a zero weight times an infinite output gradient would be NaN
+    @pytest.mark.parametrize("weight", [0.0, 0.5, 2.0])
     @pytest.mark.parametrize("y", [0.0, 1.0])
     @pytest.mark.parametrize("label", [0.0, 1.0])
-    def test_finite_at_a_saturated_output(self, gamma, y, label):
+    def test_finite_at_a_saturated_output(self, weight, y, label):
         params = M.init_params(2, 2, 2, 1, np.random.default_rng(0))
         batch = M.forward(params, np.array([0]), np.array([1]))
         batch.y = np.array([y])
         with np.errstate(all="raise"):
-            grads = M.backward(params, batch, np.array([label]), np.ones(1), gamma)
+            grads = M.backward(params, batch, np.array([label]), np.array([weight]))
         assert np.isfinite(grads.flat).all()
 
     def test_zero_weight_sample_contributes_nothing(self):

@@ -282,9 +282,9 @@ class TestOracleIPSIsUnbiased:
             for name, pred in predictors.items():
                 loss = M.per_sample_loss(pred[users, items], labels)
                 out[name]["naive"].append(loss.mean())
-                # a batch of all m * n pairs: the IPS sum over drawn pairs / (m n)
-                out[name]["ips"].append((M.rec_weights("ips", pi, m * n) * loss).sum())
-                out[name]["snips"].append((M.rec_weights("snips", pi, m * n) * loss).sum())
+                # the IPS sum over the m k drawn pairs / (m n): the batch's IPS loss times k / n
+                out[name]["ips"].append((M.rec_weights("ips", pi, m * k) * loss).sum() * k / n)
+                out[name]["snips"].append((M.rec_weights("snips", pi, m * k) * loss).sum())
         full = {name: (pref * M.per_sample_loss(pred, np.ones(pred.shape))
                        + (1 - pref) * M.per_sample_loss(pred, np.zeros(pred.shape))).mean()
                 for name, pred in predictors.items()}

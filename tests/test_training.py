@@ -43,7 +43,7 @@ class TestConfig:
         TrainConfig().validate()
 
     @pytest.mark.parametrize("kwargs", [
-        {"lam": -0.1}, {"tau": 0.0}, {"sampler": "x"}, {"focal_gamma": -0.5},
+        {"lam": -0.1}, {"tau": 0.0}, {"sampler": "x"}, {"val_fraction": -0.1},
         {"rec_objective": "dr"}, {"val_fraction": 1.0},
     ])
     def test_rejects_bad_values(self, kwargs):
@@ -61,7 +61,7 @@ class TestConfig:
         ({"weight_decay": -5.0}, "weight_decay must be >= 0"),
         ({"learning_rate": 0.0}, "learning_rate must be positive"),
         ({"learning_rate": -0.01}, "learning_rate must be positive"),
-        ({"focal_gamma": -1.0}, "focal_gamma must be >= 0"),
+        ({"tau": 0.0}, "tau must be positive"),
         ({"lam": float("nan")}, "lam must be finite, got nan"),
         ({"lam": float("inf")}, "lam must be finite, got inf"),
         ({"tau": float("nan")}, "tau must be finite, got nan"),
@@ -70,8 +70,8 @@ class TestConfig:
         ({"learning_rate": float("inf")}, "learning_rate must be finite, got inf"),
         ({"weight_decay": float("nan")}, "weight_decay must be finite, got nan"),
         ({"weight_decay": float("inf")}, "weight_decay must be finite, got inf"),
-        ({"focal_gamma": float("nan")}, "focal_gamma must be finite, got nan"),
-        ({"focal_gamma": float("inf")}, "focal_gamma must be finite, got inf"),
+        ({"lam": -0.5}, "lam must be >= 0, got -0.5"),
+        ({"val_fraction": 1.0}, r"val_fraction must be in \[0, 1\)"),
         ({"lam": float("-inf")}, "lam must be finite, got -inf"),
         ({"seed": -1}, "seed must be >= 0, got -1"),
     ])
@@ -84,7 +84,7 @@ class TestConfig:
     @pytest.mark.parametrize("kwargs", [
         {"propensity_source": "oracle"}, {"batch_size": 1}, {"embed_dim": 1},
         {"hidden_layers": 0}, {"max_epochs": 0}, {"patience": 0},
-        {"weight_decay": 0.0}, {"focal_gamma": 0.0},
+        {"weight_decay": 0.0}, {"val_fraction": 0.0},
     ])
     def test_accepts_the_smallest_valid_values(self, kwargs):
         TrainConfig(**kwargs).validate()
